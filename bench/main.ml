@@ -219,6 +219,9 @@ let interp_bench_engine engine =
 
 let per_s n secs = float_of_int n /. Float.max 1e-9 secs
 
+(* minor-allocation budget per simulated request, wd-off and wd-on *)
+let alloc_budget = 30_000
+
 let run_json_bench ~jobs_n () =
   let module Campaign = Wd_harness.Campaign in
   let module Interp = Wd_ir.Interp in
@@ -364,12 +367,8 @@ let run_json_bench ~jobs_n () =
   let gc = Gc.get () in
   bpf
     "  \"host\": { \"recommended_domains\": %d, \"gc\": { \
-     \"minor_heap_words\": %d, \"space_overhead\": %d, \"wd_minor_heap\": %s \
-     } },\n"
-    recommended gc.Gc.minor_heap_size gc.Gc.space_overhead
-    (match Wd_parallel.Pool.minor_heap_words () with
-    | Some w -> string_of_int w
-    | None -> "null");
+     \"minor_heap_words\": %d, \"space_overhead\": %d } },\n"
+    recommended gc.Gc.minor_heap_size gc.Gc.space_overhead;
   bpf "  \"campaign_e2\": {\n";
   bpf "    \"scenarios\": %d,\n" (List.length cells);
   bpf "    \"jobs_curve\": [\n";
@@ -568,7 +567,7 @@ let run_json_bench ~jobs_n () =
   bpf "  \"alloc\": {\n";
   bpf "    \"workload\": \"zkmini\",\n";
   bpf "    \"wall_s\": %.1f,\n" alloc_s;
-  bpf "    \"budget_bytes_per_req\": 30000,\n";
+  bpf "    \"budget_bytes_per_req\": %d,\n" alloc_budget;
   bpf "    \"rows\": [\n";
   List.iteri
     (fun i (r : Experiments.e22_alloc_row) ->
@@ -765,29 +764,37 @@ let run_json_bench ~jobs_n () =
                    row.Experiments.e22r_p99_x))
           w.Experiments.e22w_rows)
     load.Experiments.e22_workloads;
-  (* allocation gate (v6): the refactor's budget — wd-on minor allocation
-     per simulated request stays within 30 KB (the seed spent ~55 KB) *)
-  (match
-     List.find_opt
-       (fun (r : Experiments.e22_alloc_row) ->
-         r.Experiments.e22a_deploy = "wd-on")
-       alloc_rows
-   with
-  | None ->
-      prerr_endline "ERROR: alloc gate: wd-on row missing";
-      exit 1
-  | Some r ->
-      if r.Experiments.e22a_bytes_per_req > 30_000. then begin
-        Printf.eprintf
-          "ERROR: alloc gate: wd-on %.0f bytes/request exceeds the 30000 \
-           budget\n"
-          r.Experiments.e22a_bytes_per_req;
-        exit 1
-      end);
-  (* frontier gates (v7): the adaptive scheduler must cut the
-     checker-scheduling event component by >= 30% vs the fixed baseline
-     while keeping full-catalog coverage and staying within 2x the fixed
-     worst-case detection latency *)
+  (* allocation gates (v6): the refactor's budget — wd-off and wd-on minor
+     allocation per simulated request stays within 30 KB (the seed spent
+     ~55 KB), and no row is an empty run *)
+  let alloc_fail msg =
+    prerr_endline ("ERROR: alloc gate: " ^ msg);
+    exit 1
+  in
+  List.iter
+    (fun (r : Experiments.e22_alloc_row) ->
+      if r.Experiments.e22a_requests <= 0 then
+        alloc_fail (r.Experiments.e22a_deploy ^ " row completed no requests"))
+    alloc_rows;
+  List.iter
+    (fun deploy ->
+      match
+        List.find_opt
+          (fun (r : Experiments.e22_alloc_row) ->
+            r.Experiments.e22a_deploy = deploy)
+          alloc_rows
+      with
+      | None -> alloc_fail (deploy ^ " row missing")
+      | Some r ->
+          if r.Experiments.e22a_bytes_per_req > float_of_int alloc_budget then
+            alloc_fail
+              (Printf.sprintf "%s %.0f bytes/request exceeds the %d budget"
+                 deploy r.Experiments.e22a_bytes_per_req alloc_budget))
+    [ "wd-off"; "wd-on" ];
+  (* frontier gates (v7): all three modes present; the adaptive scheduler
+     must cut the checker-scheduling event component by >= 30% vs the fixed
+     baseline, deduplicate at least once, keep full-catalog coverage and
+     stay within 2x the fixed worst-case detection latency *)
   let frontier_fail msg =
     prerr_endline ("ERROR: frontier gate: " ^ msg);
     exit 1
@@ -803,6 +810,7 @@ let run_json_bench ~jobs_n () =
   in
   let fx = frontier_row "fixed" in
   let ad = frontier_row "adaptive" in
+  ignore (frontier_row "adaptive-relaxed");
   if ad.Experiments.e23f_sched_cut_pct < 30. then
     frontier_fail
       (Printf.sprintf "adaptive scheduling-overhead cut %.1f%% < 30%%"
@@ -812,10 +820,12 @@ let run_json_bench ~jobs_n () =
       (Printf.sprintf "adaptive catalog coverage %d/%d below fixed %d/%d"
          ad.Experiments.e23f_detected ad.Experiments.e23f_catalog
          fx.Experiments.e23f_detected fx.Experiments.e23f_catalog);
+  if ad.Experiments.e23f_dedup_skips <= 0 then
+    frontier_fail "adaptive mode never deduplicated";
   match
     (fx.Experiments.e23f_worst_detect, ad.Experiments.e23f_worst_detect)
   with
-  | Some f, Some a ->
+  | Some f, Some a when f > 0L && a > 0L ->
       if a > Int64.mul 2L f then
         frontier_fail
           (Printf.sprintf
@@ -825,18 +835,18 @@ let run_json_bench ~jobs_n () =
   | _ -> frontier_fail "worst-case detection latency missing"
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  (* same --jobs/--seed/--engine flags as repro, via the shared scanner
-     (bechamel owns argv, so no cmdliner here); --json stays bench-local *)
+  Wd_harness.Cli.check_env ();
+  (* same --jobs/--seed flags as repro, plus --json, via the shared scanner
+     (bechamel owns argv, so no cmdliner here) *)
   let opts =
-    match Wd_harness.Cli.scan argv with
+    match Wd_harness.Cli.scan (List.tl (Array.to_list Sys.argv)) with
     | Ok o -> o
     | Error msg ->
         Printf.eprintf "%s\n" msg;
         exit 2
   in
   Wd_harness.Cli.apply_opts opts;
-  if List.mem "--json" argv then
+  if opts.Wd_harness.Cli.o_json then
     let jobs_n =
       match opts.Wd_harness.Cli.o_jobs with
       | Some n -> n

@@ -117,24 +117,20 @@ let analyze_cached ?(config = Config.default) prog =
 
 (* Build the runtime checker for one unit: a checker-mode interpreter over
    the watchdog program, fed by the unit's context. *)
-let checker_of_unit ?engine g ~sched ~wctx ~res ~node (u : Reduction.unit_) =
+let checker_of_unit g ~sched ~wctx ~res ~node (u : Reduction.unit_) =
   let cfg = g.config in
-  let engine =
-    match engine with Some e -> e | None -> Interp.default_engine ()
+  (* same engine as the main program: the process-wide default *)
+  let compiled =
+    match Interp.default_engine () with
+    | `Treewalk -> None
+    | `Compiled -> (
+        match g.watchdog_compiled with
+        | Some _ as cp -> cp
+        | None -> Some (Interp.precompile g.watchdog_prog))
   in
   let ci =
-    match engine with
-    | `Treewalk ->
-        Interp.create ~engine:`Treewalk ~mode:Interp.Checker
-          ~lock_timeout:cfg.Config.lock_timeout ~node ~res g.watchdog_prog
-    | `Compiled ->
-        let compiled =
-          match g.watchdog_compiled with
-          | Some cp -> cp
-          | None -> Interp.precompile g.watchdog_prog
-        in
-        Interp.create ~compiled ~mode:Interp.Checker
-          ~lock_timeout:cfg.Config.lock_timeout ~node ~res g.watchdog_prog
+    Interp.create ?compiled ~mode:Interp.Checker
+      ~lock_timeout:cfg.Config.lock_timeout ~node ~res g.watchdog_prog
   in
   let unit_id = u.Reduction.unit_id in
   let payload () = Wcontext.snapshot wctx unit_id in
@@ -227,7 +223,7 @@ let regions_for_entry_funcs g ~entry_funcs =
    a context older than the threshold means the surrounding region stopped
    making progress *without* failing any mimicked operation — the
    infinite-loop/stall class that operation mimicry alone cannot see. *)
-let attach ?engine ?only_regions ?progress g ~sched ~main ~driver =
+let attach ?only_regions ?progress g ~sched ~main ~driver =
   let res = Interp.resources main in
   let node = Interp.node main in
   let selected =
@@ -268,7 +264,7 @@ let attach ?engine ?only_regions ?progress g ~sched ~main ~driver =
   List.iter
     (fun u ->
       Wd_watchdog.Driver.add_checker driver
-        (checker_of_unit ?engine g ~sched ~wctx ~res ~node u))
+        (checker_of_unit g ~sched ~wctx ~res ~node u))
     selected;
   (match progress with
   | None -> ()

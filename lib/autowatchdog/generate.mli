@@ -42,7 +42,6 @@ val regions_for_entry_funcs :
     a node passes its own entries to attach only its own checkers. *)
 
 val attach :
-  ?engine:Wd_ir.Interp.engine ->
   ?only_regions:string list ->
   ?progress:int64 ->
   generated ->
@@ -52,7 +51,8 @@ val attach :
   Wd_watchdog.Wcontext.t
 (** Runtime half: create the context table, register hook specs and the
     sink on [main], build one checker-mode interpreter per unit, and add
-    the resulting mimic checkers to [driver].
+    the resulting mimic checkers to [driver]. Checkers run on the
+    process-wide {!Wd_ir.Interp.default_engine}, the same engine as [main].
 
     [main] must have been created over [generated.red.instrumented]; on the
     original program no hooks fire and every context stays NOT_READY.
@@ -76,7 +76,6 @@ val register_components :
     returns them). *)
 
 val checker_of_unit :
-  ?engine:Wd_ir.Interp.engine ->
   generated ->
   sched:Wd_sim.Sched.t ->
   wctx:Wd_watchdog.Wcontext.t ->

@@ -1,26 +1,14 @@
-(* The one place process environment is read. Historically WD_JOBS,
-   WD_MINOR_HEAP and WD_ENGINE were parsed ad hoc where they were consumed
-   (pool, interpreter), each with its own silent-fallback rules; now every
-   consumer goes through this typed loader and a malformed value is a
-   diagnosable error instead of whatever the local parser happened to do.
-
-   This library sits below everything (no deps), so both [Wd_parallel.Pool]
-   and [Wd_ir.Interp] can consume it; [Wd_harness.Cli.config] re-exposes the
-   same loader with the engine lifted to the interpreter's type. *)
+(* The one place process environment is read. Every consumer goes through
+   this typed loader, so a malformed value is a diagnosable error rather
+   than a silent fallback. This library sits below everything (no deps), so
+   both [Wd_parallel.Pool] and [Wd_ir.Interp] can consume it. *)
 
 type engine = [ `Compiled | `Treewalk ]
 
 type t = {
   jobs : int option;  (* WD_JOBS: domain-pool width; must be positive *)
-  minor_heap_words : int option;
-      (* WD_MINOR_HEAP: per-domain minor heap, words. Values below the
-         runtime's 16k-word floor are documented as ignored (None). *)
   engine : engine option;  (* WD_ENGINE: compiled | treewalk *)
 }
-
-let empty = { jobs = None; minor_heap_words = None; engine = None }
-
-let minor_heap_floor = 16_384
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
@@ -39,17 +27,6 @@ let parse_jobs = function
           Error ("WD_JOBS: expected a positive integer, got " ^ String.escaped s)
       )
 
-let parse_minor_heap = function
-  | None | Some "" -> Ok None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= minor_heap_floor -> Ok (Some n)
-      | Some _ -> Ok None (* below the runtime floor: documented as ignored *)
-      | None ->
-          Error
-            ("WD_MINOR_HEAP: expected an integer word count, got "
-            ^ String.escaped s))
-
 let parse_engine = function
   | None | Some "" -> Ok None
   | Some s -> (
@@ -60,9 +37,8 @@ let parse_engine = function
 
 let load () =
   let* jobs = parse_jobs (Sys.getenv_opt "WD_JOBS") in
-  let* minor_heap_words = parse_minor_heap (Sys.getenv_opt "WD_MINOR_HEAP") in
   let* engine = parse_engine (Sys.getenv_opt "WD_ENGINE") in
-  Ok { jobs; minor_heap_words; engine }
+  Ok { jobs; engine }
 
 (* Memoised snapshot: the environment is immutable for the process's
    purposes, and consumers sit on hot-ish paths (pool sizing at creation,

@@ -1,8 +1,9 @@
 (** Typed, [Result]-returning loader for the process environment knobs
-    ([WD_JOBS], [WD_MINOR_HEAP], [WD_ENGINE]). The single parse site: no
-    other module calls [Sys.getenv] for these. Dependency-free so both the
-    domain pool and the interpreter can consume it;
-    [Wd_harness.Cli.config] re-exposes the same loader at the CLI layer. *)
+    ([WD_JOBS], [WD_ENGINE]). The single parse site: no other module calls
+    [Sys.getenv] for these. Dependency-free so both the domain pool and the
+    interpreter can consume it. Front ends call {!load} first and report an
+    [Error] themselves, so {!get} never fails in a running [repro] or
+    [bench]. *)
 
 type engine = [ `Compiled | `Treewalk ]
 (** Structurally identical to [Wd_ir.Interp.engine]; declared here so this
@@ -10,23 +11,16 @@ type engine = [ `Compiled | `Treewalk ]
 
 type t = {
   jobs : int option;  (** [WD_JOBS]: domain-pool width; must be positive *)
-  minor_heap_words : int option;
-      (** [WD_MINOR_HEAP]: per-domain minor heap in words; values below the
-          runtime's 16k-word floor are ignored ([None]) *)
   engine : engine option;  (** [WD_ENGINE]: [compiled] or [treewalk] *)
 }
 
-val empty : t
-
-val engine_of_string : string -> engine option
-(** Shared engine-name parser ([compiled] / [treewalk], case-insensitive,
-    a few historical spellings). *)
-
 val load : unit -> (t, string) result
 (** Parse the environment. [Error] names the offending variable and value;
-    unset or empty variables are [None], never errors. *)
+    unset or empty variables are [None], never errors. [compiled] /
+    [treewalk] are matched case-insensitively, with a few historical
+    spellings of the latter. *)
 
 val get : unit -> t
 (** Memoised {!load}; raises [Failure] with the {!load} error message on a
-    malformed environment (fail-fast at first use, preserving the historic
-    [WD_ENGINE] behaviour for all three knobs). *)
+    malformed environment. Consumers read it lazily, at first use, never at
+    module initialisation. *)

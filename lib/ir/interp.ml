@@ -105,20 +105,28 @@ and impl = Treewalk_impl | Compiled_impl of t Compile.t
 
 (* --- engine selection --- *)
 
-let engine_name = function `Compiled -> "compiled" | `Treewalk -> "treewalk"
+(* The process-wide engine default is the one engine selector above
+   [create ?engine]. It is read lazily from the typed env loader on first
+   use — never at module initialisation, so a front end can validate the
+   environment and report a malformed WD_ENGINE before anything reads it.
+   The cell is read from several pool domains, hence an [Atomic] rather
+   than a [Lazy]; the first-use fill is a compare-and-set from [None], so
+   an explicit [set_default_engine] always wins over the environment. *)
+let default_engine_cell : engine option Atomic.t = Atomic.make None
 
-let engine_of_string s = Wd_config.Env.engine_of_string s
+let set_default_engine e = Atomic.set default_engine_cell (Some e)
 
-(* The typed env loader owns the WD_ENGINE read; a malformed value fails
-   fast here at module initialisation, as the ad-hoc parse always did. *)
-let default_engine_cell : engine Atomic.t =
-  Atomic.make
-    (match (Wd_config.Env.get ()).Wd_config.Env.engine with
-    | Some e -> (e :> engine)
-    | None -> `Compiled)
-
-let set_default_engine e = Atomic.set default_engine_cell e
-let default_engine () = Atomic.get default_engine_cell
+let default_engine () =
+  match Atomic.get default_engine_cell with
+  | Some e -> e
+  | None ->
+      let from_env =
+        match (Wd_config.Env.get ()).Wd_config.Env.engine with
+        | Some e -> (e :> engine)
+        | None -> `Compiled
+      in
+      ignore (Atomic.compare_and_set default_engine_cell None (Some from_env));
+      Option.get (Atomic.get default_engine_cell)
 
 (* --- accessors --- *)
 
@@ -127,9 +135,6 @@ let node t = t.node
 let probe t = t.probe
 let resources t = t.res
 let stmts_executed t = t.ctx.Compile.cx_stmts
-
-let engine t =
-  match t.impl with Treewalk_impl -> `Treewalk | Compiled_impl _ -> `Compiled
 
 let set_hook_sink t sink = t.hook_sink <- Some sink
 let register_hook t ~id spec = Hashtbl.replace t.hooks id spec

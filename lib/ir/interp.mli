@@ -37,13 +37,13 @@ type mode = Main | Checker
 
 type engine = [ `Compiled | `Treewalk ]
 
-val engine_name : engine -> string
-val engine_of_string : string -> engine option
-
 val set_default_engine : engine -> unit
 (** Process-wide default for interpreters created without [?engine] /
-    [?compiled]. Initialised from [WD_ENGINE] ("compiled" / "treewalk");
-    [`Compiled] otherwise. *)
+    [?compiled] — the one engine selector: a target and its checkers always
+    run on the same engine. Read lazily from [WD_ENGINE] ("compiled" /
+    "treewalk") on first use, [`Compiled] if unset; an explicit
+    [set_default_engine] wins over the environment. The tree-walker is the
+    reference engine and differential oracle. *)
 
 val default_engine : unit -> engine
 
@@ -111,9 +111,13 @@ val create :
   res:Runtime.resources ->
   program ->
   t
+(** [?compiled] supplies a ready compiled form (see {!precompile}).
+    [?engine] overrides {!default_engine} for this one interpreter; it
+    exists only for the in-process engine differential tests and bench's
+    per-engine interpreter rows — everything above this module follows the
+    process-wide default. *)
 
 val program : t -> program
-val engine : t -> engine
 val node : t -> string
 val probe : t -> probe_state
 val resources : t -> Runtime.resources

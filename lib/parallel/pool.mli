@@ -74,10 +74,3 @@ val default_jobs : unit -> int
 (** The [WD_JOBS] environment variable if set to a positive integer,
     otherwise [Domain.recommended_domain_count ()]. Counts the submitting
     domain: width N means N-1 spawned workers. *)
-
-val minor_heap_words : unit -> int option
-(** The [WD_MINOR_HEAP] environment variable (per-domain minor heap size in
-    words) if set to an integer at or above the runtime's 16384-word floor.
-    Applied to every pool lane: worker domains at spawn, the submitting
-    domain at pool creation. Purely a wall-clock/memory trade — results are
-    identical at any size. *)

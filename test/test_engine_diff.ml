@@ -10,6 +10,7 @@ module B = Builder
 module Sched = Wd_sim.Sched
 module Time = Wd_sim.Time
 module Randgen = Wd_testgen.Randgen
+module Engine = Wd_testgen.Engine
 
 (* --- random programs: identical traces over >= 50 seeds --- *)
 
@@ -256,17 +257,46 @@ let test_deep_recursion_parity () =
 
 let test_e17_engine_identity () =
   let module E = Wd_harness.Experiments in
-  let finish () = E.set_engine `Compiled in
-  Fun.protect ~finally:finish (fun () ->
-      E.set_jobs 4;
-      E.set_engine `Compiled;
-      let compiled = E.e17_text () in
-      E.set_jobs 1;
-      E.set_engine `Treewalk;
-      let treewalk = E.e17_text () in
-      Alcotest.(check string)
-        "E17 fleet summary byte-identical across engines and --jobs widths"
-        compiled treewalk)
+  E.set_jobs 4;
+  let compiled = Engine.with_default `Compiled E.e17_text in
+  E.set_jobs 1;
+  let treewalk = Engine.with_default `Treewalk E.e17_text in
+  Alcotest.(check string)
+    "E17 fleet summary byte-identical across engines and --jobs widths"
+    compiled treewalk
+
+(* --- the process-wide default reaches every layer ---
+
+   Output identity cannot tell whether the tree-walker really ran, so look
+   at the compile cache instead: under a treewalk default, booting every
+   single-node system with its generated watchdog plus a mixed fleet must
+   compile nothing at all — no target, no checker, no cluster node. *)
+
+let boot_every_layer () =
+  Wd_autowatchdog.Generate.clear_cache ();
+  Interp.clear_compile_cache ();
+  List.iter
+    (fun system ->
+      let sched = Sched.create ~seed:1 () in
+      let reg = Wd_env.Faultreg.create () in
+      ignore
+        (Wd_harness.Systems.boot ~sched ~reg
+           ~mode:Wd_harness.Systems.Wd_generated system))
+    Wd_harness.Systems.all_systems;
+  ignore
+    (Wd_cluster.Sim.boot ~seed:1
+       ~topology:
+         (Wd_cluster.Topology.mixed
+            Wd_cluster.Topology.[ Zkmini; Cstore; Zkmini ])
+       ());
+  Interp.compile_cache_stats ()
+
+let test_default_reaches_every_layer () =
+  Alcotest.(check (pair int int))
+    "treewalk default compiles nothing" (0, 0)
+    (Engine.with_default `Treewalk boot_every_layer);
+  let _, misses = Engine.with_default `Compiled boot_every_layer in
+  Alcotest.(check bool) "compiled default compiles" true (misses > 0)
 
 let () =
   Alcotest.run "engine_diff"
@@ -290,5 +320,7 @@ let () =
             test_deep_recursion_parity;
           Alcotest.test_case "E17 byte-identical across engines" `Slow
             test_e17_engine_identity;
+          Alcotest.test_case "engine default reaches every layer" `Quick
+            test_default_reaches_every_layer;
         ] );
     ]

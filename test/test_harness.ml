@@ -181,6 +181,53 @@ let test_tables_render () =
   check "renders" true (String.length text > 0);
   check "has rules" true (String.contains text '+')
 
+(* --- environment and argv validation ---
+
+   Malformed WD_* values and unknown flags must come back as [Error]
+   naming the culprit, so the front ends can print it and exit 2 instead
+   of dying on an uncaught exception. *)
+
+(* Run [f] with [var] set to [value], restoring the previous value (or the
+   empty string, which the loader reads as unset) afterwards. *)
+let with_env var value f =
+  let prev = Option.value (Sys.getenv_opt var) ~default:"" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var prev)
+    (fun () ->
+      Unix.putenv var value;
+      f ())
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let check_env_error var value =
+  match with_env var value Wd_config.Env.load with
+  | Ok _ -> Alcotest.failf "%s=%s accepted" var value
+  | Error msg -> check (var ^ " named in error") true (contains ~sub:var msg)
+
+let test_env_rejects_malformed () =
+  check_env_error "WD_JOBS" "abc";
+  check_env_error "WD_JOBS" "0";
+  check_env_error "WD_ENGINE" "bogus";
+  match with_env "WD_ENGINE" "treewalk" Wd_config.Env.load with
+  | Ok e -> check "treewalk parsed" true (e.Wd_config.Env.engine = Some `Treewalk)
+  | Error msg -> Alcotest.fail msg
+
+let test_scan_rejects_unknown () =
+  (match Cli.scan [ "--jobs"; "2"; "--json"; "--seed"; "7" ] with
+  | Ok o ->
+      check "json" true o.Cli.o_json;
+      check "jobs" true (o.Cli.o_jobs = Some 2);
+      check "seed" true (o.Cli.o_seed = Some 7)
+  | Error msg -> Alcotest.fail msg);
+  check "--engine rejected" true
+    (Result.is_error (Cli.scan [ "--engine"; "treewalk" ]));
+  check "bad --jobs rejected" true (Result.is_error (Cli.scan [ "--jobs"; "x" ]))
+
 let () =
   Alcotest.run "wd_harness"
     [
@@ -213,5 +260,12 @@ let () =
             test_loadgen_deterministic;
           Alcotest.test_case "loadgen open-loop sheds overload" `Quick
             test_loadgen_open_sheds;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "env loader rejects malformed values" `Quick
+            test_env_rejects_malformed;
+          Alcotest.test_case "argv scan rejects unknown flags" `Quick
+            test_scan_rejects_unknown;
         ] );
     ]

@@ -43,7 +43,8 @@ let test_trace_since () =
    engines must emit identical event streams. *)
 let events_of_run engine =
   let ro =
-    Inference.mine_run ~engine ~warmup:(sec 2) ~observe:(sec 4) ~seed:7 "zkmini"
+    Wd_testgen.Engine.with_default engine (fun () ->
+        Inference.mine_run ~warmup:(sec 2) ~observe:(sec 4) ~seed:7 "zkmini")
   in
   List.map
     (fun (e : Trace.event) ->

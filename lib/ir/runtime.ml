@@ -71,6 +71,8 @@ let queue r name =
    without bound. A later [queue] call on the same name just re-creates it. *)
 let drop_queue r name = Hashtbl.remove r.queues name
 
+let find_queue r name = Hashtbl.find_opt r.queues name
+
 let global r name =
   match Hashtbl.find_opt r.globals name with Some v -> v | None -> VUnit
 

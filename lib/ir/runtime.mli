@@ -38,6 +38,11 @@ val drop_queue : resources -> string -> unit
 (** Forget a queue that will never be touched again (per-request reply
     queues under load). The next {!queue} on the name re-creates it. *)
 
+val find_queue : resources -> string -> Ast.value Wd_sim.Channel.t option
+(** The queue registered under the name, without creating one. Reply
+    dispatchers use it so a reply that arrives after its requester gave up
+    and dropped the queue is discarded instead of re-creating it. *)
+
 val global : resources -> string -> Ast.value
 (** [VUnit] when unset. *)
 

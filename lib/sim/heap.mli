@@ -1,25 +1,36 @@
-(** Deterministic binary min-heap keyed by [(time, insertion sequence)].
+(** Deterministic 4-ary min-heap keyed by [(time, insertion sequence)].
 
     Entries with equal times pop in insertion order, which keeps
-    discrete-event runs reproducible. *)
+    discrete-event runs reproducible. Keys are stored unboxed as native
+    ints in flat arrays, payloads stay put while their keys are sifted,
+    and neither {!push} nor {!take} allocates (except when {!push}
+    doubles the arrays).
+
+    Times are non-negative [int64] nanoseconds at the interface and
+    native [int]s inside. A time above [max_int] (about 146 virtual
+    years) saturates to [max_int], and saturated entries then pop in
+    insertion order. The scheduler never arms such a timer: the
+    environment skips the timer for {!Time.never} deadlines. *)
 
 type 'a t
 
 val create : dummy_payload:'a -> 'a t
-(** [create ~dummy_payload] makes an empty heap. The dummy payload fills
-    unused array slots and is never returned. *)
+(** [create ~dummy_payload] makes an empty heap. Its arrays are allocated
+    by the first {!push}, with room for 16 entries. The dummy payload
+    fills unused array slots and is never returned. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> time:int64 -> 'a -> int
-(** [push h ~time p] inserts [p] and returns its tie-break sequence number. *)
+val push : 'a t -> time:int64 -> 'a -> unit
+(** [push h ~time p] inserts [p] under [time] (saturated to an [int]). *)
 
-val peek_time : 'a t -> int64 option
-(** Earliest key in the heap, if any. *)
+val min_time : 'a t -> int
+(** The earliest key, as a saturated native int; [max_int] when empty. *)
 
-val pop : 'a t -> (int64 * 'a) option
-(** Remove and return the earliest entry. *)
+val take : 'a t -> 'a
+(** Remove and return the earliest entry's payload; read its key with
+    {!min_time} first. Raises [Invalid_argument] on an empty heap. *)
 
-val drain : 'a t -> (int64 * 'a) list
-(** Pop everything, in key order. *)
+val drain : 'a t -> (int * 'a) list
+(** Take everything, in key order, with each entry's key. For tests. *)

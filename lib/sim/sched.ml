@@ -9,7 +9,14 @@
    mutexes, channels and timeouts.
 
    All state lives in a single domain; combined with the tie-broken event
-   heap and FIFO run queue, a run is a deterministic function of the seed. *)
+   heap and FIFO run queue, a run is a deterministic function of the seed.
+
+   Timers sit in an unboxed {!Heap} and the run queue is a ring of thunks.
+   A task's [step] closure is built at spawn and its suspend callback when
+   it starts, and [current] holds a task, not an option. Firing a timer or
+   running a thunk allocates nothing in the kernel; a suspend still
+   allocates its waker, which captures the generation, and the [Some]
+   around the parked continuation. *)
 
 exception Cancelled
 (* Raised inside a fiber that another task killed. *)
@@ -27,6 +34,11 @@ type task = {
   mutable blocked_since : int64;
   mutable gen : int;
   mutable kont : (unit, unit) Effect.Deep.continuation option;
+  (* The task's function, until it starts. *)
+  mutable body : unit -> unit;
+  (* Starts the task, and then continues [kont] on every wake: built once
+     at spawn, pushed by spawn and by every wake. *)
+  mutable step : unit -> unit;
   mutable exit_hooks : (exit_status -> unit) list;
   mutable cancel_requested : bool;
   daemon : bool;
@@ -40,8 +52,12 @@ type run_result = Quiescent | Time_limit | Deadlock of task list
 type t = {
   mutable now : int64;
   timers : (unit -> unit) Heap.t;
-  runq : (unit -> unit) Queue.t;
-  mutable current : task option;
+  (* FIFO run queue: a ring of [rq_len] thunks starting at [rq_head], over
+     an array whose length is a power of two. *)
+  mutable rq : (unit -> unit) array;
+  mutable rq_head : int;
+  mutable rq_len : int;
+  mutable current : task; (* [no_task] between tasks *)
   mutable next_id : int;
   mutable live : int; (* unfinished non-daemon tasks *)
   mutable tasks : task list;
@@ -50,6 +66,9 @@ type t = {
   mutable spawned : int;
   mutable events_fired : int;
   mutable trace : Trace.t option;
+  (* [Suspend]'s [register], stashed by the effect handler for the
+     suspend callback that runs right after it *)
+  mutable register : (unit -> unit) -> unit;
 }
 
 type _ Effect.t +=
@@ -64,12 +83,38 @@ let get () =
   | Some s -> s
   | None -> failwith "Sched: no simulation is running"
 
+let noop () = ()
+let no_register (_ : unit -> unit) = ()
+
+(* The current task between tasks. Never mutated, so it can be shared by
+   every scheduler on every domain; its id and name are what trace events
+   recorded outside a task carry. *)
+let no_task =
+  {
+    id = 0;
+    name = "<sched>";
+    state = Finished;
+    status = None;
+    blocked_on = "";
+    blocked_since = 0L;
+    gen = 0;
+    kont = None;
+    body = noop;
+    step = noop;
+    exit_hooks = [];
+    cancel_requested = false;
+    daemon = true;
+    join_reason = "";
+  }
+
 let create ?(seed = 42) () =
   {
     now = 0L;
-    timers = Heap.create ~dummy_payload:(fun () -> ());
-    runq = Queue.create ();
-    current = None;
+    timers = Heap.create ~dummy_payload:noop;
+    rq = Array.make 16 noop;
+    rq_head = 0;
+    rq_len = 0;
+    current = no_task;
     next_id = 0;
     live = 0;
     tasks = [];
@@ -78,15 +123,15 @@ let create ?(seed = 42) () =
     spawned = 0;
     events_fired = 0;
     trace = None;
+    register = no_register;
   }
 
 let now s = s.now
 let rng s = s.rng
 
 let self s =
-  match s.current with
-  | Some t -> t
-  | None -> failwith "Sched.self: called outside a task"
+  if s.current == no_task then failwith "Sched.self: called outside a task"
+  else s.current
 
 let task_name t = t.name
 let task_id t = t.id
@@ -98,16 +143,37 @@ let all_tasks s = s.tasks
 
 let stats s = (s.spawned, s.switches, s.events_fired)
 
+let runq_push s f =
+  let cap = Array.length s.rq in
+  if s.rq_len = cap then begin
+    let rq = Array.make (2 * cap) noop in
+    for i = 0 to cap - 1 do
+      rq.(i) <- s.rq.((s.rq_head + i) land (cap - 1))
+    done;
+    s.rq <- rq;
+    s.rq_head <- 0
+  end;
+  s.rq.((s.rq_head + s.rq_len) land (Array.length s.rq - 1)) <- f;
+  s.rq_len <- s.rq_len + 1
+
+let runq_pop s =
+  let f = s.rq.(s.rq_head) in
+  s.rq.(s.rq_head) <- noop;
+  s.rq_head <- (s.rq_head + 1) land (Array.length s.rq - 1);
+  s.rq_len <- s.rq_len - 1;
+  f
+
 (* Load-pressure probes for adaptive checker scheduling. Both are pure
    reads of scheduler state at the instant of the call, so a sampling task
    sees a deterministic value: the runq contents and timer heap at any
    point of a run are a function of the seed alone. *)
-let runq_depth s = Queue.length s.runq
+let runq_depth s = s.rq_len
 
 let timer_slack s =
-  match Heap.peek_time s.timers with
-  | None -> Int64.max_int
-  | Some t -> if t <= s.now then 0L else Int64.sub t s.now
+  if Heap.is_empty s.timers then Int64.max_int
+  else
+    let t = Int64.of_int (Heap.min_time s.timers) in
+    if t <= s.now then 0L else Int64.sub t s.now
 
 let timer_count s = Heap.size s.timers
 
@@ -144,36 +210,34 @@ let trace_emit s kind =
   match s.trace with
   | None -> ()
   | Some tr ->
-      let task_id, task_name =
-        match s.current with Some t -> (t.id, t.name) | None -> (0, "<sched>")
-      in
-      Trace.record tr ~at:s.now ~task_id ~task_name kind
+      let t = s.current in
+      Trace.record tr ~at:s.now ~task_id:t.id ~task_name:t.name kind
 
 (* Interned op-event emitters for the interpreter's traced fast path: the
    caller resolves Site ids once per op site, and nothing here allocates. *)
-let current_ident s =
-  match s.current with Some t -> (t.id, t.name) | None -> (0, "<sched>")
-
 let trace_op_start s ~op ~node ~func =
   match s.trace with
   | None -> ()
   | Some tr ->
-      let task_id, task_name = current_ident s in
-      Trace.op_start tr ~at:s.now ~task_id ~task_name ~op ~node ~func
+      let t = s.current in
+      Trace.op_start tr ~at:s.now ~task_id:t.id ~task_name:t.name ~op ~node
+        ~func
 
 let trace_op_end s ~op ~node ~func ~dur =
   match s.trace with
   | None -> ()
   | Some tr ->
-      let task_id, task_name = current_ident s in
-      Trace.op_end tr ~at:s.now ~task_id ~task_name ~op ~node ~func ~dur
+      let t = s.current in
+      Trace.op_end tr ~at:s.now ~task_id:t.id ~task_name:t.name ~op ~node ~func
+        ~dur
 
 let trace_op_fail s ~op ~node ~func ~err =
   match s.trace with
   | None -> ()
   | Some tr ->
-      let task_id, task_name = current_ident s in
-      Trace.op_fail tr ~at:s.now ~task_id ~task_name ~op ~node ~func ~err
+      let t = s.current in
+      Trace.op_fail tr ~at:s.now ~task_id:t.id ~task_name:t.name ~op ~node
+        ~func ~err
 
 let finish s t status =
   (match s.trace with
@@ -191,34 +255,41 @@ let finish s t status =
   let hooks = t.exit_hooks in
   t.exit_hooks <- [];
   List.iter (fun h -> h status) hooks;
-  s.current <- None;
+  s.current <- no_task;
   match status with
   | Failed e when not t.daemon ->
       Logs.debug (fun m ->
           m "task %s failed: %s" t.name (Printexc.to_string e))
   | Exited | Failed _ | Killed -> ()
 
-(* Re-queue a blocked task. [gen] guards against stale wakers. *)
+(* Re-queue a blocked task. [gen] guards against stale wakers. The task
+   keeps its continuation until [step] runs; a kill in between only sets
+   [cancel_requested], which [step] honours. *)
 let wake s t gen =
   if t.gen = gen && t.state = Blocked then begin
     match t.kont with
     | None -> assert false
-    | Some k ->
-        t.kont <- None;
+    | Some _ ->
         t.state <- Ready;
-        Queue.push
-          (fun () ->
-            t.state <- Running;
-            s.current <- Some t;
-            s.switches <- s.switches + 1;
-            emit_resumed s t;
-            if t.cancel_requested then
-              Effect.Deep.discontinue k Cancelled
-            else Effect.Deep.continue k ())
-          s.runq
+        runq_push s t.step
   end
 
+let suspended s t k =
+  emit_blocked s t t.blocked_on;
+  t.state <- Blocked;
+  t.blocked_since <- s.now;
+  t.gen <- t.gen + 1;
+  t.kont <- Some k;
+  let gen = t.gen in
+  let register = s.register in
+  s.register <- no_register;
+  register (fun () -> wake s t gen);
+  s.current <- no_task
+
+(* Built once, when the task starts; [on_suspend] is the handler's answer
+   to every [Suspend], so a suspend allocates no callback of its own. *)
 let handler s t =
+  let on_suspend = Some (fun k -> suspended s t k) in
   {
     Effect.Deep.retc = (fun () -> finish s t Exited);
     exnc =
@@ -230,19 +301,33 @@ let handler s t =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
         | Suspend { reason; register } ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                emit_blocked s t reason;
-                t.state <- Blocked;
-                t.blocked_on <- reason;
-                t.blocked_since <- s.now;
-                t.gen <- t.gen + 1;
-                t.kont <- Some k;
-                let gen = t.gen in
-                register (fun () -> wake s t gen);
-                s.current <- None)
+            t.blocked_on <- reason;
+            s.register <- register;
+            (on_suspend : ((a, unit) Effect.Deep.continuation -> unit) option)
         | _ -> None);
   }
+
+(* A task with no continuation has not started yet. *)
+let step s t () =
+  match t.kont with
+  | None ->
+      if t.cancel_requested then finish s t Killed
+      else begin
+        let f = t.body in
+        t.body <- noop;
+        t.state <- Running;
+        s.current <- t;
+        s.switches <- s.switches + 1;
+        Effect.Deep.match_with f () (handler s t)
+      end
+  | Some k ->
+      t.kont <- None;
+      t.state <- Running;
+      s.current <- t;
+      s.switches <- s.switches + 1;
+      emit_resumed s t;
+      if t.cancel_requested then Effect.Deep.discontinue k Cancelled
+      else Effect.Deep.continue k ()
 
 let spawn ?(name = "task") ?(daemon = false) s f =
   let t =
@@ -255,27 +340,21 @@ let spawn ?(name = "task") ?(daemon = false) s f =
       blocked_since = s.now;
       gen = 0;
       kont = None;
+      body = f;
+      step = noop;
       exit_hooks = [];
       cancel_requested = false;
       daemon;
       join_reason = "";
     }
   in
+  t.step <- step s t;
   s.next_id <- s.next_id + 1;
   s.spawned <- s.spawned + 1;
   if not daemon then s.live <- s.live + 1;
   s.tasks <- t :: s.tasks;
   emit_spawned s t;
-  Queue.push
-    (fun () ->
-      if t.cancel_requested then finish s t Killed
-      else begin
-        t.state <- Running;
-        s.current <- Some t;
-        s.switches <- s.switches + 1;
-        Effect.Deep.match_with f () (handler s t)
-      end)
-    s.runq;
+  runq_push s t.step;
   t
 
 let suspend ~reason ~register =
@@ -283,7 +362,7 @@ let suspend ~reason ~register =
 
 let at s time f =
   let time = if time < s.now then s.now else time in
-  ignore (Heap.push s.timers ~time f)
+  Heap.push s.timers ~time f
 
 let after s delay f = at s (Int64.add s.now delay) f
 
@@ -296,13 +375,13 @@ let sleep delay =
 
 let yield () =
   let s = get () in
-  suspend ~reason:"yield" ~register:(fun waker -> Queue.push waker s.runq)
+  suspend ~reason:"yield" ~register:(fun waker -> runq_push s waker)
 
 let kill s t =
   match t.state with
   | Finished -> ()
   | Running ->
-      if s.current == Some t then raise Cancelled
+      if s.current == t then raise Cancelled
       else
         (* A running task other than the current one is impossible in a
            single-domain scheduler. *)
@@ -315,12 +394,10 @@ let kill s t =
       | Some k ->
           t.kont <- None;
           t.gen <- t.gen + 1;
-          Queue.push
-            (fun () ->
+          runq_push s (fun () ->
               t.state <- Running;
-              s.current <- Some t;
-              Effect.Deep.discontinue k Cancelled)
-            s.runq)
+              s.current <- t;
+              Effect.Deep.discontinue k Cancelled))
 
 let on_exit t hook =
   match t.status with
@@ -499,29 +576,29 @@ let run ?(until = Time.never) s =
   Domain.DLS.set ambient (Some s);
   let restore () = Domain.DLS.set ambient saved in
   let rec loop () =
-    if not (Queue.is_empty s.runq) then begin
-      let job = Queue.pop s.runq in
+    if s.rq_len > 0 then begin
+      let job = runq_pop s in
       s.events_fired <- s.events_fired + 1;
       job ();
-      s.current <- None;
+      s.current <- no_task;
       loop ()
     end
+    else if Heap.is_empty s.timers then
+      if s.live > 0 then Deadlock (blocked_tasks s) else Quiescent
     else
-      match Heap.peek_time s.timers with
-      | Some t when t <= until -> (
-          match Heap.pop s.timers with
-          | Some (time, fn) ->
-              if time > s.now then s.now <- time;
-              s.events_fired <- s.events_fired + 1;
-              fn ();
-              s.current <- None;
-              loop ()
-          | None -> assert false)
-      | Some _ ->
-          s.now <- until;
-          Time_limit
-      | None ->
-          if s.live > 0 then Deadlock (blocked_tasks s) else Quiescent
+      let time = Heap.min_time s.timers in
+      if Int64.of_int time <= until then begin
+        let fn = Heap.take s.timers in
+        if Int64.of_int time > s.now then s.now <- Int64.of_int time;
+        s.events_fired <- s.events_fired + 1;
+        fn ();
+        s.current <- no_task;
+        loop ()
+      end
+      else begin
+        s.now <- until;
+        Time_limit
+      end
   in
   match loop () with
   | result ->

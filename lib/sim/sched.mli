@@ -109,11 +109,13 @@ val runq_depth : t -> int
 (** Tasks queued runnable right now (excluding the running one). *)
 
 val timer_slack : t -> int64
-(** Virtual time until the earliest armed timer fires; [0] when one is
-    already due, [Int64.max_int] when none are armed. *)
+(** Virtual time until the earliest pending timer fires; [0] when one is
+    already due, [Int64.max_int] when none are pending. *)
 
 val timer_count : t -> int
-(** Armed timers. *)
+(** Pending timer-heap entries. This includes deadlines whose waiter
+    already woke: such a timer stays queued until its time comes and then
+    fires as a no-op, because {!stats} counts every fired event. *)
 
 val set_trace : t -> Trace.t -> unit
 (** Start recording scheduler events (spawn/block/resume/finish) into the

@@ -455,7 +455,8 @@ let boot ?(in_memory = false) ?(mem_capacity = 64 * 1024 * 1024) ~sched
   }
 
 (* Route replies from the well-known "kvs.replies" queue to the per-request
-   reply queue named in the message. *)
+   reply queue named in the message. A reply whose queue is gone arrived
+   after its request timed out; it is dropped. *)
 let spawn_reply_dispatcher t =
   Wd_sim.Sched.spawn ~name:"kvs/reply-dispatch" ~daemon:true t.sched (fun () ->
       let replies = Runtime.queue t.res "kvs.replies" in
@@ -464,8 +465,10 @@ let spawn_reply_dispatcher t =
         match msg with
         | Ast.VMap kvs -> (
             match (List.assoc_opt "id" kvs, List.assoc_opt "data" kvs) with
-            | Some (Ast.VStr id), Some data ->
-                ignore (Wd_sim.Channel.try_send (Runtime.queue t.res id) data)
+            | Some (Ast.VStr id), Some data -> (
+                match Runtime.find_queue t.res id with
+                | Some q -> ignore (Wd_sim.Channel.try_send q data)
+                | None -> ())
             | _, _ -> ())
         | _ -> ()
       done)
@@ -492,11 +495,16 @@ let request ?(timeout = Wd_sim.Time.sec 2) t ~op ~key ~value =
       ]
   in
   let inq = Runtime.queue t.res request_queue in
-  if not (Wd_sim.Channel.try_send inq req) then `Err "request queue full"
-  else
-    match Wd_sim.Channel.recv_timeout reply_q ~timeout with
-    | Some v -> `Ok v
-    | None -> `Timeout
+  let r =
+    if not (Wd_sim.Channel.try_send inq req) then `Err "request queue full"
+    else
+      match Wd_sim.Channel.recv_timeout reply_q ~timeout with
+      | Some v -> `Ok v
+      | None -> `Timeout
+  in
+  (* one queue per request: reclaim it, as [Rpcq.request] does *)
+  Runtime.drop_queue t.res reply_name;
+  r
 
 let set ?timeout t ~key ~value = request ?timeout t ~op:"set" ~key ~value
 let get ?timeout t ~key = request ?timeout t ~op:"get" ~key ~value:""

@@ -29,8 +29,10 @@ let spawn_dispatcher t =
         match Wd_sim.Channel.recv replies with
         | Ast.VMap kvs -> (
             match (List.assoc_opt "id" kvs, List.assoc_opt "data" kvs) with
-            | Some (Ast.VStr id), Some data ->
-                ignore (Wd_sim.Channel.try_send (Runtime.queue t.res id) data)
+            | Some (Ast.VStr id), Some data -> (
+                match Runtime.find_queue t.res id with
+                | Some q -> ignore (Wd_sim.Channel.try_send q data)
+                | None -> () (* late reply: the requester timed out *))
             | _, _ -> ())
         | _ -> ()
       done)
@@ -53,8 +55,7 @@ let request ?(timeout = Wd_sim.Time.sec 2) t fields =
       | None -> `Timeout
     in
     (* One queue per request: reclaim it or load runs grow the resource
-       table (and its channels) without bound. A reply that arrives after
-       a timeout re-creates the queue through the dispatcher's
-       [Runtime.queue] — a rare, bounded leak. *)
+       table (and its channels) without bound. The dispatcher discards a
+       reply that arrives after this. *)
     Runtime.drop_queue t.res reply_name;
     r

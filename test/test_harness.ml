@@ -174,6 +174,47 @@ let test_loadgen_open_sheds () =
     (r.Loadgen.lr_requests + r.Loadgen.lr_shed = 5_000);
   check "overload sheds" true (r.Loadgen.lr_shed > 0)
 
+(* The kernel schedule itself, pinned: a zkmini wd-on closed loop and a
+   cstore open loop through [Loadgen] on seed 1. Any change to the order
+   in which the kernel fires timers or runs tasks moves the event and
+   switch counts, the final clock or the latency percentiles. The
+   [loadgen deterministic] test above only compares two runs of the same
+   code. *)
+let pinned_load system gen =
+  let sched = Wd_sim.Sched.create ~seed:1 () in
+  let reg = Wd_env.Faultreg.create () in
+  let b = Systems.boot ~sched ~reg ~mode:Systems.Wd_generated system in
+  let r = Loadgen.drive (gen sched b) in
+  let spawned, switches, events = Wd_sim.Sched.stats sched in
+  ( [ spawned; switches; events; Wd_sim.Sched.timer_count sched ],
+    Wd_sim.Sched.now sched,
+    [
+      r.Loadgen.lr_ok;
+      Int64.to_int r.Loadgen.lr_p50;
+      Int64.to_int r.Loadgen.lr_p99;
+    ] )
+
+let test_kernel_schedule_pinned () =
+  let ints = Alcotest.(list int) in
+  let counts, now, lat =
+    pinned_load "zkmini" (fun sched b ->
+        Loadgen.spawn_closed ~sched ~clients:32 ~think:(Time.us 50)
+          ~requests:2_000 ~op:b.Systems.b_client ())
+  in
+  Alcotest.check ints "zkmini spawned/switches/events/timers"
+    [ 56; 21_338; 36_275; 8_374 ] counts;
+  Alcotest.(check int64) "zkmini final clock" 400_000_000L now;
+  Alcotest.check ints "zkmini ok/p50/p99" [ 2_000; 4_194_304; 4_718_592 ] lat;
+  let counts, now, lat =
+    pinned_load "cstore" (fun sched b ->
+        Loadgen.spawn_open ~sched ~rate_rps:8_000 ~max_inflight:512
+          ~requests:2_000 ~op:b.Systems.b_client ())
+  in
+  Alcotest.check ints "cstore spawned/switches/events/timers"
+    [ 2_027; 10_789; 14_537; 3_367 ] counts;
+  Alcotest.(check int64) "cstore final clock" 400_000_000L now;
+  Alcotest.check ints "cstore ok/p50/p99" [ 2_000; 106_496; 229_376 ] lat
+
 let test_tables_render () =
   let text =
     Tables.render ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "333"; "4" ] ]
@@ -260,6 +301,8 @@ let () =
             test_loadgen_deterministic;
           Alcotest.test_case "loadgen open-loop sheds overload" `Quick
             test_loadgen_open_sheds;
+          Alcotest.test_case "kernel schedule pinned" `Quick
+            test_kernel_schedule_pinned;
         ] );
       ( "config",
         [

@@ -10,22 +10,24 @@ let check_str = Alcotest.(check string)
 
 let test_heap_order () =
   let h = Heap.create ~dummy_payload:(-1) in
-  ignore (Heap.push h ~time:30L 3);
-  ignore (Heap.push h ~time:10L 1);
-  ignore (Heap.push h ~time:20L 2);
+  Heap.push h ~time:30L 3;
+  Heap.push h ~time:10L 1;
+  Heap.push h ~time:20L 2;
+  check_int "min time" 10 (Heap.min_time h);
   let order = List.map snd (Heap.drain h) in
-  Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] order
+  Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] order;
+  check_int "empty min time" max_int (Heap.min_time h)
 
 let test_heap_ties_fifo () =
   let h = Heap.create ~dummy_payload:(-1) in
-  List.iter (fun i -> ignore (Heap.push h ~time:5L i)) [ 1; 2; 3; 4; 5 ];
+  List.iter (fun i -> Heap.push h ~time:5L i) [ 1; 2; 3; 4; 5 ];
   let order = List.map snd (Heap.drain h) in
   Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4; 5 ] order
 
 let test_heap_grow () =
   let h = Heap.create ~dummy_payload:0 in
   for i = 1 to 1000 do
-    ignore (Heap.push h ~time:(Int64.of_int (1000 - i)) i)
+    Heap.push h ~time:(Int64.of_int (1000 - i)) i
   done;
   check_int "size" 1000 (Heap.size h);
   let times = List.map fst (Heap.drain h) in
@@ -35,18 +37,68 @@ let test_heap_grow () =
   in
   check "sorted" true (sorted times)
 
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
-    QCheck.(list (int_bound 1000))
-    (fun times ->
-      let h = Heap.create ~dummy_payload:0 in
-      List.iteri (fun i t -> ignore (Heap.push h ~time:(Int64.of_int t) i)) times;
-      let drained = Heap.drain h in
-      List.length drained = List.length times
-      && fst
-           (List.fold_left
-              (fun (ok, prev) (t, _) -> (ok && t >= prev, t))
-              (true, Int64.min_int) drained))
+(* Model-based: interleave [push]/[take] against a list kept sorted by
+   (saturated time, push order). Times come from a narrow range (many
+   ties), a wide one, and above [max_int] (they must saturate and then pop
+   in push order); runs of pushes grow the heap past its initial 16
+   slots. QCheck_alcotest prints its random seed on start-up; set
+   QCHECK_SEED to replay a run. *)
+type heap_op = Push of int64 | Take
+
+let heap_op_gen =
+  let open QCheck.Gen in
+  let above_max_int k = Int64.add (Int64.of_int max_int) (Int64.of_int k) in
+  frequency
+    [
+      (6, map (fun t -> Push (Int64.of_int t)) (int_bound 8));
+      (3, map (fun t -> Push (Int64.of_int t)) (int_bound 1_000_000));
+      (1, map (fun k -> Push (Int64.sub Int64.max_int (Int64.of_int k)))
+            (int_bound 3));
+      (1, map (fun k -> Push (above_max_int k)) (int_range 1 3));
+      (4, return Take);
+    ]
+
+let pp_heap_op = function Push t -> Printf.sprintf "push %Ld" t | Take -> "take"
+
+let prop_heap_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_heap_op ops))
+       QCheck.Gen.(list_size (int_range 0 120) heap_op_gen))
+    (fun ops ->
+      let key t =
+        if t > Int64.of_int max_int then max_int else Int64.to_int t
+      in
+      let h = Heap.create ~dummy_payload:(-1) in
+      (* model entries: (key, seq), seq doubling as the payload *)
+      let insert e model =
+        let rec go = function
+          | x :: rest when compare x e < 0 -> x :: go rest
+          | rest -> e :: rest
+        in
+        go model
+      in
+      let step (model, seq) op =
+        match op with
+        | Push t ->
+            Heap.push h ~time:t seq;
+            (insert (key t, seq) model, seq + 1)
+        | Take -> (
+            match model with
+            | [] ->
+                if not (Heap.is_empty h && Heap.min_time h = max_int) then
+                  QCheck.Test.fail_report "empty model, non-empty heap";
+                (model, seq)
+            | (k, p) :: rest ->
+                if Heap.min_time h <> k then
+                  QCheck.Test.fail_reportf "min_time %d, model %d"
+                    (Heap.min_time h) k;
+                if Heap.take h <> p then
+                  QCheck.Test.fail_report "wrong payload";
+                (rest, seq))
+      in
+      let model, _ = List.fold_left step ([], 0) ops in
+      Heap.size h = List.length model && Heap.drain h = model)
 
 (* --- rng --- *)
 
@@ -165,6 +217,19 @@ let test_sched_kill () =
   ignore (Sched.run s);
   check "never resumed" false !reached;
   check "killed status" true (Sched.task_status victim = Some Sched.Killed)
+
+(* A task that kills itself unwinds with [Cancelled] and ends [Killed]. *)
+let test_sched_kill_self () =
+  let s = Sched.create () in
+  let reached = ref false in
+  let t =
+    Sched.spawn s (fun () ->
+        Sched.kill s (Sched.self s);
+        reached := true)
+  in
+  ignore (Sched.run s);
+  check "unwound" false !reached;
+  check "killed status" true (Sched.task_status t = Some Sched.Killed)
 
 let test_sched_failure_status () =
   let s = Sched.create () in
@@ -675,7 +740,7 @@ let () =
           Alcotest.test_case "time order" `Quick test_heap_order;
           Alcotest.test_case "fifo ties" `Quick test_heap_ties_fifo;
           Alcotest.test_case "growth" `Quick test_heap_grow;
-          QCheck_alcotest.to_alcotest prop_heap_sorted;
+          QCheck_alcotest.to_alcotest prop_heap_model;
         ] );
       ( "rng",
         [
@@ -697,6 +762,7 @@ let () =
           Alcotest.test_case "yield interleaves" `Quick test_sched_yield_interleaves;
           Alcotest.test_case "join" `Quick test_sched_join;
           Alcotest.test_case "kill" `Quick test_sched_kill;
+          Alcotest.test_case "kill self" `Quick test_sched_kill_self;
           Alcotest.test_case "failure status" `Quick test_sched_failure_status;
           Alcotest.test_case "timeout_join ok" `Quick test_sched_timeout_join_completes;
           Alcotest.test_case "timeout_join timeout" `Quick

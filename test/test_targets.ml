@@ -109,6 +109,27 @@ let test_kvs_leak_bug_grows_memory () =
   in
   check "leaky variant retains more" true (used_after true > used_after false)
 
+(* Every request drops its reply queue, and the dispatcher discards a
+   reply that arrives after its request timed out instead of re-creating
+   the queue: the resource table does not grow with the request count. *)
+let test_kvs_reply_queues_reclaimed () =
+  let sched, _reg, t = boot_kvs () in
+  let n = 20 in
+  let late = ref None in
+  client sched (fun () ->
+      for i = 1 to n do
+        ignore (Wd_targets.Kvs.set t ~key:(Fmt.str "k%d" i) ~value:"v")
+      done;
+      (* times out long before the leader replies *)
+      late := Some (Wd_targets.Kvs.set ~timeout:1L t ~key:"late" ~value:"v"));
+  check "late request timed out" true (!late = Some `Timeout);
+  check_int "late request served anyway" (n + 1) (Wd_targets.Kvs.stats_sets t);
+  for i = 1 to n + 1 do
+    let name = Fmt.str "reply/%d" i in
+    check (name ^ " reclaimed") true
+      (Wd_ir.Runtime.find_queue t.Wd_targets.Kvs.res name = None)
+  done
+
 (* --- zkmini --- *)
 
 let boot_zk () =
@@ -348,6 +369,8 @@ let () =
           Alcotest.test_case "persistence pipeline" `Quick test_kvs_persistence_pipeline;
           Alcotest.test_case "in-memory mode" `Quick test_kvs_in_memory_no_disk;
           Alcotest.test_case "leak bug variant" `Quick test_kvs_leak_bug_grows_memory;
+          Alcotest.test_case "reply queues reclaimed" `Quick
+            test_kvs_reply_queues_reclaimed;
         ] );
       ( "zkmini",
         [

@@ -120,6 +120,24 @@ let op_kind_name = function
   | Sleep_op -> "sleep"
   | Log_op -> "log"
 
+(* VMap key scans. [List.assoc] and friends test keys with polymorphic
+   [compare], one [caml_compare] C call per entry; these compare with
+   [String.equal]. Otherwise they are the stdlib functions: first match
+   wins, and [vmap_remove] copies the prefix before the removed entry and
+   shares the rest, so the lists and the allocation are the same. *)
+let rec vmap_find k = function
+  | [] -> None
+  | (a, v) :: l -> if String.equal a k then Some v else vmap_find k l
+
+let rec vmap_mem k = function
+  | [] -> false
+  | (a, _) :: l -> String.equal a k || vmap_mem k l
+
+let rec vmap_remove k = function
+  | [] -> []
+  | ((a, _) as pair) :: l ->
+      if String.equal a k then l else pair :: vmap_remove k l
+
 (* Deep copy: values are persistent except VBytes, whose buffer must not be
    shared between the main program and a watchdog context (§3.2 isolation). *)
 let rec copy_value = function

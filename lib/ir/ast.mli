@@ -116,6 +116,20 @@ val has_func : program -> string -> bool
 
 val op_kind_name : op_kind -> string
 
+val vmap_find : string -> (string * 'a) list -> 'a option
+(** [List.assoc_opt] with keys compared by [String.equal] instead of
+    polymorphic [compare]: the first binding of the key, if any. The
+    [VMap] primitives and the request-path readers of maps and key-value
+    lists use this family. *)
+
+val vmap_mem : string -> (string * 'a) list -> bool
+(** [List.mem_assoc] with [String.equal]. *)
+
+val vmap_remove : string -> (string * 'a) list -> (string * 'a) list
+(** [List.remove_assoc] with [String.equal]: drops the first binding of
+    the key, copying the entries before it and sharing the tail, so the
+    result and its allocation equal the stdlib function's. *)
+
 val copy_value : value -> value
 (** Deep copy. Values are persistent except [VBytes], whose buffer must
     never be shared between the main program and a watchdog context (§3.2

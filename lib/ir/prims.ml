@@ -38,7 +38,8 @@ let apply name args =
   | "str_of_bytes", [ VBytes b ] -> VStr (Bytes.to_string b)
   | "bytes_make", [ VInt n; VStr fill ] ->
       let c = if String.length fill > 0 then fill.[0] else '\000' in
-      if n < 0 then err "bytes_make %d" n else VBytes (Bytes.make n c)
+      if n < 0 || n > Sys.max_string_length then err "bytes_make %d" n
+      else VBytes (Bytes.make n c)
   | "bytes_cat", [ VBytes a; VBytes b ] -> VBytes (Bytes.cat a b)
   | "checksum", [ VBytes b ] ->
       VInt (Int64.to_int (Int64.logand (Wd_env.Disk.checksum b) 0x3FFFFFFFFFFFFFFFL))
@@ -55,16 +56,20 @@ let apply name args =
       VBool !found
   | "map_empty", [] -> VMap []
   | "map_put", [ VMap m; VStr k; v ] ->
-      VMap ((k, v) :: List.remove_assoc k m)
+      VMap ((k, v) :: vmap_remove k m)
   | "map_get", [ VMap m; VStr k ] -> (
-      match List.assoc_opt k m with Some v -> v | None -> err "map_get %S" k)
+      match vmap_find k m with Some v -> v | None -> err "map_get %S" k)
   | "map_get_opt", [ VMap m; VStr k; default ] -> (
-      match List.assoc_opt k m with Some v -> v | None -> default)
-  | "map_mem", [ VMap m; VStr k ] -> VBool (List.mem_assoc k m)
-  | "map_del", [ VMap m; VStr k ] -> VMap (List.remove_assoc k m)
+      match vmap_find k m with Some v -> v | None -> default)
+  | "map_mem", [ VMap m; VStr k ] -> VBool (vmap_mem k m)
+  | "map_del", [ VMap m; VStr k ] -> VMap (vmap_remove k m)
   | "map_len", [ VMap m ] -> VInt (List.length m)
   | "map_keys", [ VMap m ] ->
-      VList (List.map (fun (k, _) -> VStr k) (List.sort compare m))
+      (* Sorting the pairs by key alone yields the same key list as the
+         polymorphic pair order (equal keys print the same whatever their
+         values) and allocates exactly what that sort did. *)
+      let by_key (a, _) (b, _) = String.compare a b in
+      VList (List.map (fun (k, _) -> VStr k) (List.sort by_key m))
   | "list_rev", [ VList l ] -> VList (List.rev l)
   | "list_append", [ VList a; VList b ] -> VList (a @ b)
   | "list_cons", [ v; VList l ] -> VList (v :: l)
@@ -72,6 +77,7 @@ let apply name args =
   | "list_head", [ VList [] ] -> err "list_head []"
   | "list_tail", [ VList (_ :: l) ] -> VList l
   | "list_tail", [ VList [] ] -> err "list_tail []"
+  | "list_nth", [ VList _; VInt i ] when i < 0 -> err "list_nth %d" i
   | "list_nth", [ VList l; VInt i ] -> (
       match List.nth_opt l i with Some v -> v | None -> err "list_nth %d" i)
   | "list_mem", [ v; VList l ] -> VBool (List.exists (value_equal v) l)
@@ -102,7 +108,8 @@ let apply name args =
       | None -> VStr "")
   | "pad_left", [ VStr s; VInt width; VStr fill ] ->
       let c = if String.length fill > 0 then fill.[0] else '0' in
-      if String.length s >= width then VStr s
+      if width > Sys.max_string_length then err "pad_left %d" width
+      else if String.length s >= width then VStr s
       else VStr (String.make (width - String.length s) c ^ s)
   | "ends_with", [ VBytes b; VBytes suffix ] ->
       let nb = Bytes.length b and ns = Bytes.length suffix in

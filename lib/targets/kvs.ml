@@ -464,7 +464,7 @@ let spawn_reply_dispatcher t =
         let msg = Wd_sim.Channel.recv replies in
         match msg with
         | Ast.VMap kvs -> (
-            match (List.assoc_opt "id" kvs, List.assoc_opt "data" kvs) with
+            match (Ast.vmap_find "id" kvs, Ast.vmap_find "data" kvs) with
             | Some (Ast.VStr id), Some data -> (
                 match Runtime.find_queue t.res id with
                 | Some q -> ignore (Wd_sim.Channel.try_send q data)

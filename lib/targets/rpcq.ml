@@ -28,7 +28,7 @@ let spawn_dispatcher t =
       while true do
         match Wd_sim.Channel.recv replies with
         | Ast.VMap kvs -> (
-            match (List.assoc_opt "id" kvs, List.assoc_opt "data" kvs) with
+            match (Ast.vmap_find "id" kvs, Ast.vmap_find "data" kvs) with
             | Some (Ast.VStr id), Some data -> (
                 match Runtime.find_queue t.res id with
                 | Some q -> ignore (Wd_sim.Channel.try_send q data)

@@ -79,7 +79,7 @@ let sink t ~now hook_id values =
       | Some ctx ->
           List.iter
             (fun (tmp, v) ->
-              match List.assoc_opt tmp hb_rev with
+              match vmap_find tmp hb_rev with
               | None -> ()
               | Some param -> (
                   match Hashtbl.find_opt ctx.slots param with

@@ -101,6 +101,16 @@ let bad_cases =
       prog_of [ B.foreach "x" (B.i 3) [ B.return_unit ]; B.return_unit ] );
     ("unknown prim", prog_of [ B.let_ "x" (B.prim "no_such_prim" []); B.return_unit ]);
     ("prim arg error", prog_of (ret (B.prim "list_head" [ B.prim "list_empty" [] ])));
+    ( "list_nth negative",
+      prog_of (ret (B.prim "list_nth" [ B.prim "range" [ B.i 3 ]; B.i (-1) ])) );
+    ( "bytes_make too large",
+      prog_of
+        (ret (B.prim "bytes_make" [ B.i (Sys.max_string_length + 1); B.s "x" ])) );
+    ( "pad_left too large",
+      prog_of
+        (ret
+           (B.prim "pad_left"
+              [ B.s "7"; B.i (Sys.max_string_length + 1); B.s "0" ])) );
     ("assert failure", prog_of [ B.assert_ (B.bconst false) "boom" ]);
     ( "call arity",
       B.program "bad"

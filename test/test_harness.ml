@@ -192,28 +192,66 @@ let pinned_load system gen =
       r.Loadgen.lr_ok;
       Int64.to_int r.Loadgen.lr_p50;
       Int64.to_int r.Loadgen.lr_p99;
-    ] )
+    ],
+    b.Systems.b_res )
+
+(* Both pinned runs are shared by the kernel-schedule and map-contents
+   tests, so each load runs once per test binary. *)
+let pinned_zk =
+  lazy
+    (pinned_load "zkmini" (fun sched b ->
+         Loadgen.spawn_closed ~sched ~clients:32 ~think:(Time.us 50)
+           ~requests:2_000 ~op:b.Systems.b_client ()))
+
+let pinned_cstore =
+  lazy
+    (pinned_load "cstore" (fun sched b ->
+         Loadgen.spawn_open ~sched ~rate_rps:8_000 ~max_inflight:512
+           ~requests:2_000 ~op:b.Systems.b_client ()))
 
 let test_kernel_schedule_pinned () =
   let ints = Alcotest.(list int) in
-  let counts, now, lat =
-    pinned_load "zkmini" (fun sched b ->
-        Loadgen.spawn_closed ~sched ~clients:32 ~think:(Time.us 50)
-          ~requests:2_000 ~op:b.Systems.b_client ())
-  in
+  let counts, now, lat, _ = Lazy.force pinned_zk in
   Alcotest.check ints "zkmini spawned/switches/events/timers"
     [ 56; 21_338; 36_275; 8_374 ] counts;
   Alcotest.(check int64) "zkmini final clock" 400_000_000L now;
   Alcotest.check ints "zkmini ok/p50/p99" [ 2_000; 4_194_304; 4_718_592 ] lat;
-  let counts, now, lat =
-    pinned_load "cstore" (fun sched b ->
-        Loadgen.spawn_open ~sched ~rate_rps:8_000 ~max_inflight:512
-          ~requests:2_000 ~op:b.Systems.b_client ())
-  in
+  let counts, now, lat, _ = Lazy.force pinned_cstore in
   Alcotest.check ints "cstore spawned/switches/events/timers"
     [ 2_027; 10_789; 14_537; 3_367 ] counts;
   Alcotest.(check int64) "cstore final clock" 400_000_000L now;
   Alcotest.check ints "cstore ok/p50/p99" [ 2_000; 106_496; 229_376 ] lat
+
+(* The IR maps themselves, pinned after the same two runs: entry count
+   and the [hash] primitive over [serialize] of each map global.
+   [serialize] prints the entries in list order, so any change to how the
+   [map_*] primitives build or reorder a VMap (not just to what they
+   return) moves these. *)
+let map_pin res global =
+  let open Wd_ir in
+  let m = Runtime.global res global in
+  match
+    ( Prims.apply "map_len" [ m ],
+      Prims.apply "hash" [ Prims.apply "serialize" [ m ] ] )
+  with
+  | Ast.VInt len, Ast.VInt h -> (global, len, h)
+  | _ -> Alcotest.failf "%s: map_len/hash not ints" global
+
+let test_map_contents_pinned () =
+  let pins run globals =
+    let _, _, _, res = Lazy.force run in
+    List.map (map_pin res) globals
+  in
+  let t = Alcotest.(list (triple string int int)) in
+  Alcotest.check t "zkmini len/hash"
+    [ ("zk.tree", 68, 1492120519286681914) ]
+    (pins pinned_zk [ "zk.tree" ]);
+  Alcotest.check t "cstore len/hash"
+    [
+      ("cs.memtable", 1, 1611849889008760976);
+      ("cs.sstable_index", 132, 1664698166795662190);
+    ]
+    (pins pinned_cstore [ "cs.memtable"; "cs.sstable_index" ])
 
 let test_tables_render () =
   let text =
@@ -303,6 +341,8 @@ let () =
             test_loadgen_open_sheds;
           Alcotest.test_case "kernel schedule pinned" `Quick
             test_kernel_schedule_pinned;
+          Alcotest.test_case "map contents pinned" `Quick
+            test_map_contents_pinned;
         ] );
       ( "config",
         [

@@ -76,6 +76,80 @@ let test_prims_errors () =
   | _ -> Alcotest.fail "expected Prim_error"
   | exception Prims.Prim_error _ -> ()
 
+(* Out-of-range arguments that reach the stdlib's own [Invalid_argument]
+   ("List.nth", "Bytes.create") must come back as a typed [Prim_error],
+   the only exception the engines turn into a located [prim] Violation. *)
+let test_prims_range_errors () =
+  let expect name args msg =
+    match p name args with
+    | v -> Alcotest.failf "%s: expected Prim_error, got %a" name pp_value v
+    | exception Prims.Prim_error m -> check_str name msg m
+  in
+  let huge = Sys.max_string_length + 1 in
+  expect "list_nth" [ VList [ VInt 1; VInt 2 ]; VInt (-1) ] "list_nth -1";
+  expect "list_nth" [ VList [ VInt 1; VInt 2 ]; VInt 2 ] "list_nth 2";
+  expect "bytes_make" [ VInt huge; VStr "z" ] (Fmt.str "bytes_make %d" huge);
+  expect "pad_left" [ VStr "7"; VInt huge; VStr "0" ]
+    (Fmt.str "pad_left %d" huge);
+  check_str "pad_left in range" "007"
+    (vstr (p "pad_left" [ VStr "7"; VInt 3; VStr "0" ]))
+
+(* The [String.equal] key scans against the stdlib [List.assoc] family
+   they replace, and the [map_*] primitives built on them against a
+   stdlib-built reference, compared through [serialize] byte for byte.
+   Keys come from a small pool with duplicates, [""] and shared prefixes,
+   and every lookup key is a fresh copy, so a physical-equality shortcut
+   would be caught. QCheck_alcotest prints its random seed on start-up;
+   set QCHECK_SEED to replay a run. *)
+let key_pool = [| ""; "a"; "ab"; "abc"; "k1"; "k10"; "k100"; "key/1"; "key/10" |]
+
+let gen_assoc =
+  QCheck.Gen.(
+    let key = map (fun i -> key_pool.(i)) (int_bound (Array.length key_pool - 1)) in
+    pair (list_size (int_range 0 24) (pair key small_nat)) key)
+
+let print_assoc (l, k) =
+  Fmt.str "key %S in [%s]" k
+    (String.concat "; " (List.map (fun (a, v) -> Fmt.str "%S=%d" a v) l))
+
+let prop_vmap_scans_match_stdlib =
+  QCheck.Test.make ~name:"vmap scans and map prims match the stdlib" ~count:500
+    (QCheck.make ~print:print_assoc gen_assoc)
+    (fun (l, k) ->
+      let k = Bytes.to_string (Bytes.of_string k) in
+      let removed = vmap_remove k l and ref_removed = List.remove_assoc k l in
+      (* same pairs, a copied prefix and a shared tail: the cells
+         allocated are the stdlib's *)
+      let rec index i = function
+        | [] -> None
+        | (a, _) :: rest -> if String.equal a k then Some i else index (i + 1) rest
+      in
+      let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+      let same_cells =
+        List.length removed = List.length ref_removed
+        && List.for_all2 ( == ) removed ref_removed
+        &&
+        match index 0 l with
+        | None -> true
+        | Some i -> drop i removed == drop (i + 1) l
+      in
+      let vm = List.map (fun (a, v) -> (a, VInt v)) l in
+      let m = VMap vm in
+      let ser v = value_to_string v in
+      let keys_ref =
+        VList (List.map (fun (a, _) -> VStr a) (List.sort compare vm))
+      in
+      vmap_find k l = List.assoc_opt k l
+      && vmap_mem k l = List.mem_assoc k l
+      && removed = ref_removed && same_cells
+      && ser (p "map_put" [ m; VStr k; VInt (-1) ])
+         = ser (VMap ((k, VInt (-1)) :: List.remove_assoc k vm))
+      && ser (p "map_del" [ m; VStr k ]) = ser (VMap (List.remove_assoc k vm))
+      && ser (p "map_keys" [ m ]) = ser keys_ref
+      && ser (p "map_get_opt" [ m; VStr k; VUnit ])
+         = ser (Option.value (List.assoc_opt k vm) ~default:VUnit)
+      && p "map_mem" [ m; VStr k ] = VBool (List.mem_assoc k vm))
+
 let prop_map_put_get =
   QCheck.Test.make ~name:"map_put then map_get returns the value" ~count:100
     QCheck.(pair (small_list (pair small_string small_int)) (pair small_string small_int))
@@ -807,6 +881,8 @@ let () =
           Alcotest.test_case "maps" `Quick test_prims_maps;
           Alcotest.test_case "lists" `Quick test_prims_lists;
           Alcotest.test_case "errors" `Quick test_prims_errors;
+          Alcotest.test_case "out-of-range errors" `Quick test_prims_range_errors;
+          QCheck_alcotest.to_alcotest prop_vmap_scans_match_stdlib;
           QCheck_alcotest.to_alcotest prop_map_put_get;
           QCheck_alcotest.to_alcotest prop_copy_value_equal;
           QCheck_alcotest.to_alcotest prop_render_matches_reference;

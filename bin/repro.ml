@@ -82,20 +82,14 @@ let faultspace_cmd =
     (Cmd.info "faultspace" ~doc)
     Term.(const run $ worlds_arg $ jobs_arg $ seed_arg)
 
-let load_cmd =
-  let doc =
-    "Run experiment load (E22): open/closed-loop heavy-traffic load against \
-     single nodes and a fleet, watchdog-on vs -off vs inferred-on, with \
-     detection latency under load."
-  in
+(* [load] and [frontier] share one --requests flag and its check;
+   [render requests] builds the table. *)
+let requests_cmd name ~doc ~requests_doc render =
   let requests_arg =
     Arg.(
       value
       & opt int Wd_harness.Experiments.e22_default_requests
-      & info [ "requests" ] ~docv:"N"
-          ~doc:
-            "Request budget per deployment row of each workload (default \
-             $(docv)=60000).")
+      & info [ "requests" ] ~docv:"N" ~doc:requests_doc)
   in
   let run requests jobs seed =
     apply_jobs jobs;
@@ -105,44 +99,33 @@ let load_cmd =
       1
     end
     else begin
-      print_string (Wd_harness.Experiments.e22_text ~requests ());
+      print_string (render requests);
       0
     end
   in
-  Cmd.v
-    (Cmd.info "load" ~doc)
+  Cmd.v (Cmd.info name ~doc)
     Term.(const run $ requests_arg $ jobs_arg $ seed_arg)
 
+let load_cmd =
+  requests_cmd "load"
+    ~doc:
+      "Run experiment load (E22): open/closed-loop heavy-traffic load \
+       against single nodes and a fleet, watchdog-on vs -off vs \
+       inferred-on, with detection latency under load."
+    ~requests_doc:
+      "Request budget per deployment row of each workload (default \
+       $(docv)=60000)."
+    (fun requests -> Wd_harness.Experiments.e22_text ~requests ())
+
 let frontier_cmd =
-  let doc =
-    "Run experiment frontier (E23): sweep checker-scheduling modes (fixed \
-     vs adaptive) across the full fault catalog and the E22 load plane, \
-     emitting an overhead-vs-detection-latency frontier table."
-  in
-  let requests_arg =
-    Arg.(
-      value
-      & opt int Wd_harness.Experiments.e22_default_requests
-      & info [ "requests" ] ~docv:"N"
-          ~doc:
-            "Request budget per load-plane run of each scheduling mode \
-             (default $(docv)=60000).")
-  in
-  let run requests jobs seed =
-    apply_jobs jobs;
-    apply_seed seed;
-    if requests <= 0 then begin
-      Fmt.epr "--requests must be positive@.";
-      1
-    end
-    else begin
-      print_string (Wd_harness.Experiments.e23_text ~requests ());
-      0
-    end
-  in
-  Cmd.v
-    (Cmd.info "frontier" ~doc)
-    Term.(const run $ requests_arg $ jobs_arg $ seed_arg)
+  requests_cmd "frontier"
+    ~doc:
+      "Run experiment frontier (E23): watchdog overhead on the E22 load \
+       plane, split against a hooks-only run, next to detection latency \
+       across the full fault catalog, under the fixed checker schedule."
+    ~requests_doc:
+      "Request budget per load-plane run (default $(docv)=60000)."
+    (fun requests -> Wd_harness.Experiments.e23_text ~requests ())
 
 let all_cmd =
   let doc = "Run every experiment." in

@@ -181,15 +181,10 @@ let checker_of_unit g ~sched ~wctx ~res ~node (u : Reduction.unit_) =
                  ~fkind:(Report.Error_sig m) ?loc ~op_desc:desc ~payload ()))
   in
   ignore sched;
-  (* Mimic checks are deterministic in their context arguments, so an
-     unchanged context version means an identical re-check: expose the
-     version as the adaptive scheduler's dedup key. The progress checker
-     below must NOT get one — a frozen version is exactly what it detects. *)
   Checker.make ~kind:Checker.Mimic ~period:cfg.Config.checker_period
     ~timeout:cfg.Config.checker_timeout ?slow_budget:cfg.Config.slow_budget
     ~locate
     ~slow_elapsed:(fun () -> !last_op_time)
-    ~ctx_version:(fun () -> Wcontext.version wctx unit_id)
     ~id:unit_id run
 
 (* Region ids whose root function is reachable from any of the given entry

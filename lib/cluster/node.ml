@@ -57,10 +57,10 @@ let kind_of_checker_id id : Checker.kind =
   else if has_prefix "signal:" then Checker.Signal
   else Checker.Mimic
 
-let boot ?schedule ~sched ~system ~index () =
+let boot ~sched ~system ~index () =
   let id = Fabric.node_name index in
   let reg = Wd_env.Faultreg.create () in
-  let driver = Driver.create ?schedule sched in
+  let driver = Driver.create sched in
   let wstats = Wd_targets.Workload.create_stats () in
   let recovery = Wd_watchdog.Recovery.create sched in
   let digests = ref [] in

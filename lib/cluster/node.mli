@@ -14,15 +14,13 @@
 type t
 
 val boot :
-  ?schedule:Wd_watchdog.Schedule.policy ->
   sched:Wd_sim.Sched.t ->
   system:Topology.system ->
   index:int ->
   unit ->
   t
 (** Boot one node of the given (typed) target system. The fabric endpoint
-    is [Fabric.node_name index]; [schedule] is the node driver's checker
-    scheduling policy (default {!Wd_watchdog.Schedule.fixed}). *)
+    is [Fabric.node_name index]. *)
 
 val id : t -> string
 val index : t -> int

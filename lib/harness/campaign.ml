@@ -104,7 +104,6 @@ type config = {
   observe : int64;
   mode : Systems.watchdog_mode;
   infer : Wd_infer.Synth.model option;
-  schedule : Wd_watchdog.Schedule.policy;
 }
 
 let default_config =
@@ -114,7 +113,6 @@ let default_config =
     observe = Wd_sim.Time.sec 45;
     mode = Systems.Wd_generated;
     infer = None;
-    schedule = Wd_watchdog.Schedule.fixed;
   }
 
 let run_raw cfg ~system ~scenario () =
@@ -130,8 +128,7 @@ let run_raw cfg ~system ~scenario () =
   (* Pre-register the boot work inside a bootstrap task? Boot functions only
      create tasks; client/probe activity happens once the sim runs. *)
   let booted =
-    Systems.boot ~schedule:cfg.schedule ~sched ~reg ~mode:cfg.mode ?special
-      system
+    Systems.boot ~sched ~reg ~mode:cfg.mode ?special system
   in
   (match (cfg.infer, monitor) with
   | Some model, Some monitor ->

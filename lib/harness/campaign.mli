@@ -45,9 +45,6 @@ type config = {
           attached alongside whatever [mode] provides: the scheduler gets a
           trace, a {!Wd_infer.Monitor} consumes it, and the compiled
           checkers join the same driver as every other family *)
-  schedule : Wd_watchdog.Schedule.policy;
-      (** checker scheduling policy the booted driver is created with
-          (default {!Wd_watchdog.Schedule.fixed}) *)
 }
 
 val default_config : config

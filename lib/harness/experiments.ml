@@ -1787,12 +1787,12 @@ let e22_deploy_specs =
     ("inferred-on", Systems.Wd_none, true);
   ]
 
-let e22_boot ?schedule ~sched ~mode ~infer system =
+let e22_boot ~sched ~mode ~infer system =
   let reg = Wd_env.Faultreg.create () in
   (* monitor before boot: startup ops are part of its ordering state,
      exactly as during mining (same rule as Campaign.run_raw) *)
   let monitor = Option.map (fun _ -> Wd_infer.Monitor.create sched) infer in
-  let booted = Systems.boot ?schedule ~sched ~reg ~mode system in
+  let booted = Systems.boot ~sched ~reg ~mode system in
   (match (infer, monitor) with
   | Some model, Some monitor ->
       List.iter
@@ -1801,16 +1801,15 @@ let e22_boot ?schedule ~sched ~mode ~infer system =
   | _ -> ());
   (booted, reg)
 
-(* One clean load run: boot, offer [requests], account every arrival. The
-   loadgen's in-flight count is wired into the driver's scheduler as its
-   arrival-stream pressure probe (a no-op under the default fixed policy).
-   [hooks_only] stops the driver right after boot: the instrumented program
-   keeps feeding contexts but no checker ever runs — the baseline that
-   splits watchdog overhead into context-sync vs checker-scheduling. *)
-let e22_perf ?schedule ?(hooks_only = false) ~requests ~gen ~mode ~infer
-    system =
+(* One clean load run: boot, offer [requests], account every arrival;
+   returns the load result, the sim events fired and the checker
+   executions. [hooks_only] stops the driver right after boot: the
+   instrumented program keeps feeding contexts but no checker ever runs —
+   the baseline that splits watchdog overhead into context-sync vs
+   checker-scheduling. *)
+let e22_perf ?(hooks_only = false) ~requests ~gen ~mode ~infer system =
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-  let booted, _reg = e22_boot ?schedule ~sched ~mode ~infer system in
+  let booted, _reg = e22_boot ~sched ~mode ~infer system in
   if hooks_only then Driver.stop booted.Systems.b_driver;
   let g =
     match gen with
@@ -1822,20 +1821,23 @@ let e22_perf ?schedule ?(hooks_only = false) ~requests ~gen ~mode ~infer
         Loadgen.spawn_open ~label:system ~sched ~rate_rps:rate
           ~max_inflight:512 ~requests ~op:booted.Systems.b_client ()
   in
-  Wd_watchdog.Schedule.set_load_probe
-    (Driver.schedule booted.Systems.b_driver)
-    (fun () -> Loadgen.inflight g);
   let r = Loadgen.drive g in
   let _, _, events = Wd_sim.Sched.stats sched in
-  (r, events, Wd_watchdog.Schedule.stats (Driver.schedule booted.Systems.b_driver))
+  let runs =
+    List.fold_left
+      (fun n c -> n + c.Driver.cs_executions)
+      0
+      (Driver.stats booted.Systems.b_driver)
+  in
+  (r, events, runs)
 
 (* Detection latency under load: same boot, same generator, but a catalog
    fault lands after a 2s ramp while clients keep hammering; latency is the
    first driver report at or after the injection instant. *)
-let e22_detect ?schedule ~requests ~gen ~mode ~infer ~sid system =
+let e22_detect ~requests ~gen ~mode ~infer ~sid system =
   let scenario = Catalog.find sid in
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
-  let booted, reg = e22_boot ?schedule ~sched ~mode ~infer system in
+  let booted, reg = e22_boot ~sched ~mode ~infer system in
   let g =
     match gen with
     | `Closed ->
@@ -1846,9 +1848,6 @@ let e22_detect ?schedule ~requests ~gen ~mode ~infer ~sid system =
         Loadgen.spawn_open ~label:(system ^ "+fault") ~sched ~rate_rps:rate
           ~max_inflight:512 ~requests ~op:booted.Systems.b_client ()
   in
-  Wd_watchdog.Schedule.set_load_probe
-    (Driver.schedule booted.Systems.b_driver)
-    (fun () -> Loadgen.inflight g);
   let step u =
     match Wd_sim.Sched.run ~until:u sched with
     | Wd_sim.Sched.Time_limit | Wd_sim.Sched.Quiescent
@@ -2082,57 +2081,35 @@ let e22_text ?requests ?fleet_requests () =
      percent while p50/p99 track the bare run, and a fault landing under\n\
      full load is still reported within the detection budget.\n"
 
-(* --- E23: the overhead-vs-detection-latency frontier ---
+(* --- E23: watchdog overhead vs detection latency ---
 
-   The adaptive scheduler trades checker cadence for load headroom inside a
-   hard latency bound; this experiment measures where each scheduling mode
-   lands on that trade-off. Per mode:
+   Where the fixed checker schedule (one loop per checker, sleeping its
+   declared period) lands on the overhead/latency trade:
 
    - overhead on the E22 load plane (zkmini closed loop, cstore open loop):
-     wd-on sim-event inflation against a shared wd-off baseline, with the
-     loadgen in-flight count wired in as the scheduler's pressure probe.
-     Watchdog overhead has two components with different owners: context
-     sync (hooks on the request path — per-request cost the scheduler
-     cannot touch) and checker scheduling (periodic checker executions).
-     A hooks-only run (instrumented program, driver stopped at boot)
-     splits them; the frontier metric is the scheduling component, events
-     above the hooks-only baseline;
+     wd-on sim-event inflation against a wd-off baseline. Watchdog
+     overhead has two components: context sync (hooks on the request path,
+     a per-request cost) and checker scheduling (periodic checker
+     executions). A hooks-only run (instrumented program, driver stopped
+     at boot) splits them; [e23f_sched_events] is the scheduling
+     component, events above the hooks-only baseline;
    - loaded detection: the E22 mid-load faults (zk-2201,
      cs-compaction-stuck), worst of the two;
    - catalog detection: a full campaign over every catalog scenario, where
      a scenario's latency is the first intrinsic-watchdog report (mimic,
-     probe, signal or inferred — heartbeat/observer are extrinsic and
-     unaffected by checker scheduling).
-
-   Worst/mean catalog latency is computed over the scenarios the fixed
-   baseline detects, so modes are compared on one set; [e23f_detected]
-   carries each mode's own coverage (the no-regression gate).
-
-   The adaptive modes run a deliberately tight overhead target (0.01% of
-   fired events): on this load plane the checkers' share is small in
-   absolute terms, and the tight budget is what makes the throttle engage
-   so the frontier exposes the cadence-vs-latency trade — cadence
-   stretches until the latency bound stops it, so the two adaptive points
-   differ exactly in their bound. *)
-
-module Schedule = Wd_watchdog.Schedule
+     probe, signal or inferred — heartbeat/observer are extrinsic). *)
 
 type e23_row = {
   e23f_mode : string;
-  e23f_policy : string;  (* rendered policy parameters *)
   e23f_overhead_pct : float;  (* mean wd-on event inflation, load plane *)
   e23f_sched_events : int;  (* events above the hooks-only baseline *)
-  e23f_sched_cut_pct : float;  (* scheduling-overhead cut vs fixed *)
   e23f_p99_x : float;  (* worst p99 ratio vs wd-off across the load plane *)
   e23f_load_detect : int64 option;  (* worst mid-load detection latency *)
   e23f_detected : int;  (* catalog scenarios seen by an intrinsic class *)
   e23f_catalog : int;  (* catalog size *)
-  e23f_worst_detect : int64 option;  (* over the fixed-detected set *)
+  e23f_worst_detect : int64 option;  (* over the detected scenarios *)
   e23f_mean_detect : int64 option;
   e23f_runs : int;  (* checker executions across the load-plane runs *)
-  e23f_dedup_skips : int;
-  e23f_shared_syncs : int;
-  e23f_throttle_peak : float;
 }
 
 type e23_result = {
@@ -2140,15 +2117,6 @@ type e23_result = {
   e23_scenarios : int;
   e23_requests : int;
 }
-
-let e23_modes () =
-  [
-    ("fixed", Schedule.fixed);
-    ("adaptive", Schedule.adaptive ~target_overhead:0.0001 ());
-    ( "adaptive-relaxed",
-      Schedule.adaptive ~target_overhead:0.0001
-        ~latency_bound:(Wd_sim.Time.sec 6) () );
-  ]
 
 let e23_workloads = [ ("zkmini", `Closed); ("cstore", `Open 8_000) ]
 
@@ -2167,174 +2135,82 @@ let e23_intrinsic_latency (r : Campaign.run) =
     [ "mimic"; "probe"; "signal"; "inferred" ]
 
 let e23_run ?(requests = e22_default_requests) () =
-  let modes = e23_modes () in
-  (* Shared baselines, one pair per workload: wd-off (no watchdog at all)
-     and hooks-only (context sync running, checkers never scheduled). *)
-  let bases =
+  let perf_all ?hooks_only mode =
     par_map
       (fun (system, gen) ->
-        e22_perf ~requests ~gen ~mode:Systems.Wd_none ~infer:None system)
+        e22_perf ?hooks_only ~requests ~gen ~mode ~infer:None system)
       e23_workloads
   in
-  let hooks =
-    par_map
-      (fun (system, gen) ->
-        e22_perf ~hooks_only:true ~requests ~gen ~mode:Systems.Wd_generated
-          ~infer:None system)
-      e23_workloads
-  in
-  (* Catalog campaigns: every (mode, scenario) cell is an independent
-     world, so the whole cross product fans out as one batch. *)
+  let bases = perf_all Systems.Wd_none in
+  let hooks = perf_all ~hooks_only:true Systems.Wd_generated in
   let sids = List.map (fun s -> s.Catalog.sid) Catalog.all in
-  let cells =
-    List.concat_map
-      (fun (_, policy) ->
-        List.map
-          (fun sid ->
-            Campaign.cell
-              ~cfg:
-                {
-                  Campaign.default_config with
-                  Campaign.seed = base_seed ();
-                  schedule = policy;
-                }
-              sid)
-          sids)
-      modes
+  let cfg = { Campaign.default_config with Campaign.seed = base_seed () } in
+  let lats =
+    Campaign.run_batch ~jobs:(jobs ())
+      (List.map (Campaign.cell ~cfg) sids)
+    |> List.filter_map e23_intrinsic_latency
   in
-  let campaign_runs = Campaign.run_batch ~jobs:(jobs ()) cells in
-  let latencies_of_mode i =
-    List.filteri
-      (fun j _ -> j / List.length sids = i)
-      campaign_runs
-    |> List.map (fun r -> (r.Campaign.r_sid, e23_intrinsic_latency r))
+  let perfs = perf_all Systems.Wd_generated in
+  let detects =
+    par_map
+      (fun (system, gen) ->
+        e22_detect ~requests:(max 1 (requests / 4)) ~gen
+          ~mode:Systems.Wd_generated ~infer:None ~sid:(e22_sid_of system)
+          system)
+      e23_workloads
   in
-  let fixed_lats = latencies_of_mode 0 in
-  let fixed_detected =
-    List.filter_map (fun (sid, l) -> Option.map (fun _ -> sid) l) fixed_lats
+  let overheads =
+    List.map2
+      (fun (_, base_events, _) (_, events, _) ->
+        100.
+        *. float_of_int (events - base_events)
+        /. float_of_int (max 1 base_events))
+      bases perfs
   in
-  let measures =
-    List.map
-      (fun (name, policy) ->
-        let perfs =
-          par_map
-            (fun (system, gen) ->
-              e22_perf ~schedule:policy ~requests ~gen
-                ~mode:Systems.Wd_generated ~infer:None system)
-            e23_workloads
-        in
-        let detects =
-          par_map
-            (fun (system, gen) ->
-              e22_detect ~schedule:policy ~requests:(max 1 (requests / 4))
-                ~gen ~mode:Systems.Wd_generated ~infer:None
-                ~sid:(e22_sid_of system) system)
-            e23_workloads
-        in
-        (name, policy, perfs, detects))
-      modes
-  in
-  let sched_events_of perfs =
+  let p99_x =
     List.fold_left2
-      (fun acc (_, hooks_events, _) (_, events, _) ->
-        acc + (events - hooks_events))
-      0 hooks perfs
+      (fun acc (base_load, _, _) (load, _, _) ->
+        Float.max acc
+          (Int64.to_float load.Loadgen.lr_p99
+          /. Float.max 1. (Int64.to_float base_load.Loadgen.lr_p99)))
+      0. bases perfs
   in
-  let fixed_sched =
-    match measures with
-    | (_, _, perfs, _) :: _ -> sched_events_of perfs
-    | [] -> 0
+  let max_opt acc l =
+    match (acc, l) with
+    | None, l | l, None -> l
+    | Some a, Some b -> Some (Int64.max a b)
   in
-  let rows =
-    List.mapi
-      (fun i (name, policy, perfs, detects) ->
-        let overheads =
-          List.map2
-            (fun (_, base_events, _) (_, events, _) ->
-              100.
-              *. float_of_int (events - base_events)
-              /. float_of_int (max 1 base_events))
-            bases perfs
-        in
-        let p99_x =
-          List.fold_left2
-            (fun acc (base_load, _, _) (load, _, _) ->
-              Float.max acc
-                (Int64.to_float load.Loadgen.lr_p99
-                /. Float.max 1. (Int64.to_float base_load.Loadgen.lr_p99)))
-            0. bases perfs
-        in
-        let overhead_pct =
-          List.fold_left ( +. ) 0. overheads
-          /. float_of_int (List.length overheads)
-        in
-        let load_detect =
-          List.fold_left
-            (fun acc (lat, _) ->
-              match (acc, lat) with
-              | None, l | l, None -> l
-              | Some a, Some b -> Some (Int64.max a b))
-            None detects
-        in
-        let sstats =
-          List.fold_left
-            (fun (runs, dedups, shared, peak) (_, _, st) ->
-              ( runs + st.Schedule.st_runs,
-                dedups + st.Schedule.st_dedup_skips,
-                shared + st.Schedule.st_shared_syncs,
-                Float.max peak st.Schedule.st_throttle_peak ))
-            (0, 0, 0, 1.) perfs
-        in
-        let runs, dedups, shared, peak = sstats in
-        let lats = latencies_of_mode i in
-        let detected =
-          List.length (List.filter (fun (_, l) -> l <> None) lats)
-        in
-        let common =
-          List.filter_map
-            (fun (sid, l) -> if List.mem sid fixed_detected then l else None)
-            lats
-        in
-        let worst =
-          List.fold_left
-            (fun acc l ->
-              match acc with Some a when a >= l -> acc | _ -> Some l)
-            None common
-        in
-        let mean =
-          match common with
-          | [] -> None
-          | _ ->
-              Some
-                (Int64.div
-                   (List.fold_left Int64.add 0L common)
-                   (Int64.of_int (List.length common)))
-        in
-        let sched_events = sched_events_of perfs in
-        {
-          e23f_mode = name;
-          e23f_policy = fp "%a" Schedule.pp_policy policy;
-          e23f_overhead_pct = overhead_pct;
-          e23f_sched_events = sched_events;
-          e23f_sched_cut_pct =
-            100.
-            *. float_of_int (fixed_sched - sched_events)
-            /. float_of_int (max 1 fixed_sched);
-          e23f_p99_x = p99_x;
-          e23f_load_detect = load_detect;
-          e23f_detected = detected;
-          e23f_catalog = List.length sids;
-          e23f_worst_detect = worst;
-          e23f_mean_detect = mean;
-          e23f_runs = runs;
-          e23f_dedup_skips = dedups;
-          e23f_shared_syncs = shared;
-          e23f_throttle_peak = peak;
-        })
-      measures
+  let row =
+    {
+      e23f_mode = "fixed";
+      e23f_overhead_pct =
+        List.fold_left ( +. ) 0. overheads
+        /. float_of_int (List.length overheads);
+      e23f_sched_events =
+        List.fold_left2
+          (fun acc (_, hooks_events, _) (_, events, _) ->
+            acc + (events - hooks_events))
+          0 hooks perfs;
+      e23f_p99_x = p99_x;
+      e23f_load_detect =
+        List.fold_left (fun acc (lat, _) -> max_opt acc lat) None detects;
+      e23f_detected = List.length lats;
+      e23f_catalog = List.length sids;
+      e23f_worst_detect =
+        List.fold_left (fun acc l -> max_opt acc (Some l)) None lats;
+      e23f_mean_detect =
+        (match lats with
+        | [] -> None
+        | _ ->
+            Some
+              (Int64.div
+                 (List.fold_left Int64.add 0L lats)
+                 (Int64.of_int (List.length lats))));
+      e23f_runs = List.fold_left (fun n (_, _, runs) -> n + runs) 0 perfs;
+    }
   in
   {
-    e23_rows = rows;
+    e23_rows = [ row ];
     e23_scenarios = List.length sids;
     e23_requests = requests;
   }
@@ -2349,9 +2225,8 @@ let e23_text ?requests () =
     Tables.render
       ~header:
         [
-          "mode"; "overhead"; "sched ev"; "sched cut"; "p99 x";
-          "load detect"; "catalog"; "worst"; "mean"; "runs"; "dedup";
-          "shared"; "throttle";
+          "mode"; "overhead"; "sched ev"; "p99 x"; "load detect"; "catalog";
+          "worst"; "mean"; "runs";
         ]
       (List.map
          (fun row ->
@@ -2359,41 +2234,29 @@ let e23_text ?requests () =
              row.e23f_mode;
              fp "%+.1f%%" row.e23f_overhead_pct;
              string_of_int row.e23f_sched_events;
-             (if row.e23f_mode = "fixed" then "base"
-              else fp "%.0f%%" row.e23f_sched_cut_pct);
              fp "%.2fx" row.e23f_p99_x;
              time_opt row.e23f_load_detect;
              fp "%d/%d" row.e23f_detected row.e23f_catalog;
              time_opt row.e23f_worst_detect;
              time_opt row.e23f_mean_detect;
              string_of_int row.e23f_runs;
-             string_of_int row.e23f_dedup_skips;
-             string_of_int row.e23f_shared_syncs;
-             fp "%.0fx" row.e23f_throttle_peak;
            ])
          r.e23_rows)
   in
-  fp
-    "E23 — scheduling frontier: overhead vs detection latency\n\
-     modes: %s.\n\
-     overhead = mean wd-on sim-event inflation vs the shared wd-off\n\
-     baseline on the E22 load plane (zkmini closed, cstore open); sched\n\
-     ev = events above the hooks-only baseline (the checker-scheduling\n\
-     component — context sync is per-request cost no schedule can touch);\n\
-     sched cut = that component's reduction vs fixed; load detect =\n\
-     worst mid-load catalog-fault latency; catalog = scenarios detected\n\
-     by an intrinsic class over the full catalog; worst/mean = detection\n\
-     latency over the fixed-detected scenario set; dedup/shared = runs\n\
-     skipped on unchanged context version / co-scheduled runs sharing\n\
-     one context snapshot.\n\n"
-    (String.concat ", "
-       (List.map (fun row -> row.e23f_mode ^ " = " ^ row.e23f_policy) r.e23_rows))
+  "E23 — checker scheduling: overhead vs detection latency\n\
+   mode: fixed = one loop per checker, sleeping its declared period.\n\
+   overhead = mean wd-on sim-event inflation vs the wd-off baseline on\n\
+   the E22 load plane (zkmini closed, cstore open); sched ev = events\n\
+   above the hooks-only baseline (the checker-scheduling component —\n\
+   context sync is a per-request cost); load detect = worst mid-load\n\
+   catalog-fault latency; catalog = scenarios detected by an intrinsic\n\
+   class over the full catalog; worst/mean = detection latency over the\n\
+   detected scenarios; runs = checker executions across the load-plane\n\
+   runs.\n\n"
   ^ tbl
-  ^ "\nThe adaptive points sit below the fixed point on scheduling\n\
-     overhead at a bounded detection-latency cost: throttling and\n\
-     version-dedup shed checker work under pressure while the latency\n\
-     bound forces a real run before the detection budget is spent — the\n\
-     two adaptive rows differ exactly in that bound.\n"
+  ^ "\nMost of the watchdog's load-plane cost is context sync on the\n\
+     request path, not checker execution: the scheduling component is\n\
+     the gap between the overhead and the hooks-only baseline.\n"
 
 let all_texts () =
   [

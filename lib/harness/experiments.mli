@@ -287,18 +287,14 @@ val e22_run : ?requests:int -> ?fleet_requests:int -> unit -> e22_result
 val e22_text : ?requests:int -> ?fleet_requests:int -> unit -> string
 
 type e23_row = {
-  e23f_mode : string;  (** "fixed" | "adaptive" | "adaptive-relaxed" *)
-  e23f_policy : string;  (** rendered policy parameters *)
+  e23f_mode : string;  (** "fixed": the one checker schedule *)
   e23f_overhead_pct : float;
-      (** mean wd-on sim-event inflation vs the shared wd-off baseline
-          across the E22 load plane *)
+      (** mean wd-on sim-event inflation vs the wd-off baseline across the
+          E22 load plane *)
   e23f_sched_events : int;
       (** checker-scheduling overhead: events above the hooks-only
           baseline (instrumented program, driver stopped at boot) summed
-          over the load plane — context sync is per-request cost no
-          schedule can touch, so the frontier gates on this component *)
-  e23f_sched_cut_pct : float;
-      (** scheduling-overhead reduction vs the fixed row (0 for fixed) *)
+          over the load plane — context sync is a per-request cost *)
   e23f_p99_x : float;  (** worst p99 latency ratio vs wd-off *)
   e23f_load_detect : int64 option;
       (** worst detection latency of the mid-load catalog faults *)
@@ -307,25 +303,23 @@ type e23_row = {
           (mimic / probe / signal / inferred) *)
   e23f_catalog : int;
   e23f_worst_detect : int64 option;
-      (** worst catalog detection latency, over the scenario set the fixed
-          baseline detects (modes compared on one set) *)
+      (** worst catalog detection latency over the detected scenarios *)
   e23f_mean_detect : int64 option;
-  e23f_runs : int;  (** checker executions across the load-plane runs *)
-  e23f_dedup_skips : int;  (** runs skipped on unchanged context version *)
-  e23f_shared_syncs : int;  (** co-scheduled runs sharing a snapshot *)
-  e23f_throttle_peak : float;
+  e23f_runs : int;
+      (** checker executions across the wd-on load-plane runs, from
+          {!Wd_watchdog.Driver.stats} *)
 }
 
 type e23_result = {
-  e23_rows : e23_row list;
+  e23_rows : e23_row list;  (** the fixed row *)
   e23_scenarios : int;
   e23_requests : int;
 }
 
 val e23_run : ?requests:int -> unit -> e23_result
-(** The E23 scheduling frontier: per scheduling mode, watchdog overhead on
-    the E22 load plane against detection latency across the full fault
-    catalog. [requests] is the load-plane budget per run (default
+(** E23: watchdog overhead on the E22 load plane against detection latency
+    across the full fault catalog, under the fixed checker schedule.
+    [requests] is the load-plane budget per run (default
     {!e22_default_requests}). *)
 
 val e23_text : ?requests:int -> unit -> string

@@ -214,7 +214,6 @@ let run_world w =
           observe = sw.sw_observe;
           mode = sw.sw_mode;
           infer = None;
-          schedule = Wd_watchdog.Schedule.fixed;
         }
       in
       let r = Campaign.run_scenario ~cfg sw.sw_sid in

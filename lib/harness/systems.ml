@@ -107,7 +107,7 @@ let expect_str ~prefix v =
 
 (* --- kvs --- *)
 
-let boot_kvs ?schedule ~sched ~reg ~mode ~special () =
+let boot_kvs ~sched ~reg ~mode ~special () =
   let leak_bug = special = Some "leak_bug" in
   let in_memory = special = Some "in_memory" in
   let burst = special = Some "burst" in
@@ -127,7 +127,7 @@ let boot_kvs ?schedule ~sched ~reg ~mode ~special () =
     Wd_targets.Kvs.boot ~in_memory ~mem_capacity ~sched ~reg
       ~prog:run_prog ()
   in
-  let driver = Driver.create ?schedule sched in
+  let driver = Driver.create sched in
   attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Kvs.res
     ~main:t.Wd_targets.Kvs.leader g;
   (* baseline detectors *)
@@ -220,7 +220,7 @@ let boot_kvs ?schedule ~sched ~reg ~mode ~special () =
 
 (* --- zkmini --- *)
 
-let boot_zk ?schedule ~sched ~reg ~mode ~special:_ () =
+let boot_zk ~sched ~reg ~mode ~special:_ () =
   let prog = Wd_targets.Zkmini.program () in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
@@ -230,7 +230,7 @@ let boot_zk ?schedule ~sched ~reg ~mode ~special:_ () =
     | Wd_no_context | Wd_none -> prog
   in
   let t = Wd_targets.Zkmini.boot ~sched ~reg ~prog:run_prog () in
-  let driver = Driver.create ?schedule sched in
+  let driver = Driver.create sched in
   attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Zkmini.res
     ~main:t.Wd_targets.Zkmini.leader g;
   (* the paper's two blind baselines: admin `ruok` probe + heartbeats *)
@@ -298,7 +298,7 @@ let boot_zk ?schedule ~sched ~reg ~mode ~special:_ () =
 
 (* --- dfsmini --- *)
 
-let boot_dfs ?schedule ~sched ~reg ~mode ~special:_ () =
+let boot_dfs ~sched ~reg ~mode ~special:_ () =
   let prog = Wd_targets.Dfsmini.program () in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
@@ -308,7 +308,7 @@ let boot_dfs ?schedule ~sched ~reg ~mode ~special:_ () =
     | Wd_no_context | Wd_none -> prog
   in
   let t = Wd_targets.Dfsmini.boot ~sched ~reg ~prog:run_prog () in
-  let driver = Driver.create ?schedule sched in
+  let driver = Driver.create sched in
   attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Dfsmini.res
     ~main:t.Wd_targets.Dfsmini.dn g;
   Driver.add_checker driver
@@ -377,7 +377,7 @@ let boot_dfs ?schedule ~sched ~reg ~mode ~special:_ () =
 
 (* --- cstore --- *)
 
-let boot_cs ?schedule ~sched ~reg ~mode ~special () =
+let boot_cs ~sched ~reg ~mode ~special () =
   let spin_bug = special = Some "spin_bug" in
   let prog = Wd_targets.Cstore.program ~spin_bug () in
   Wd_ir.Validate.check_exn prog;
@@ -388,7 +388,7 @@ let boot_cs ?schedule ~sched ~reg ~mode ~special () =
     | Wd_no_context | Wd_none -> prog
   in
   let t = Wd_targets.Cstore.boot ~sched ~reg ~prog:run_prog () in
-  let driver = Driver.create ?schedule sched in
+  let driver = Driver.create sched in
   attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Cstore.res
     ~main:t.Wd_targets.Cstore.main g;
   Driver.add_checker driver
@@ -449,7 +449,7 @@ let boot_cs ?schedule ~sched ~reg ~mode ~special () =
 
 (* --- mqbroker --- *)
 
-let boot_mq ?schedule ~sched ~reg ~mode ~special:_ () =
+let boot_mq ~sched ~reg ~mode ~special:_ () =
   let prog = Wd_targets.Mqbroker.program () in
   Wd_ir.Validate.check_exn prog;
   let g = Generate.analyze_cached prog in
@@ -459,7 +459,7 @@ let boot_mq ?schedule ~sched ~reg ~mode ~special:_ () =
     | Wd_no_context | Wd_none -> prog
   in
   let t = Wd_targets.Mqbroker.boot ~sched ~reg ~prog:run_prog () in
-  let driver = Driver.create ?schedule sched in
+  let driver = Driver.create sched in
   attach_watchdog ~mode ~sched ~driver ~res:t.Wd_targets.Mqbroker.res
     ~main:t.Wd_targets.Mqbroker.broker g;
   Driver.add_checker driver
@@ -512,13 +512,13 @@ let boot_mq ?schedule ~sched ~reg ~mode ~special:_ () =
     b_client = client;
   }
 
-let boot ?schedule ~sched ~reg ~mode ?special system =
+let boot ~sched ~reg ~mode ?special system =
   match system with
-  | "kvs" -> boot_kvs ?schedule ~sched ~reg ~mode ~special ()
-  | "zkmini" -> boot_zk ?schedule ~sched ~reg ~mode ~special ()
-  | "dfsmini" -> boot_dfs ?schedule ~sched ~reg ~mode ~special ()
-  | "cstore" -> boot_cs ?schedule ~sched ~reg ~mode ~special ()
-  | "mqbroker" -> boot_mq ?schedule ~sched ~reg ~mode ~special ()
+  | "kvs" -> boot_kvs ~sched ~reg ~mode ~special ()
+  | "zkmini" -> boot_zk ~sched ~reg ~mode ~special ()
+  | "dfsmini" -> boot_dfs ~sched ~reg ~mode ~special ()
+  | "cstore" -> boot_cs ~sched ~reg ~mode ~special ()
+  | "mqbroker" -> boot_mq ~sched ~reg ~mode ~special ()
   | s -> invalid_arg ("Systems.boot: unknown system " ^ s)
 
 let all_systems = [ "kvs"; "zkmini"; "dfsmini"; "cstore"; "mqbroker" ]

@@ -28,7 +28,6 @@ type booted = {
 }
 
 val boot :
-  ?schedule:Wd_watchdog.Schedule.policy ->
   sched:Wd_sim.Sched.t ->
   reg:Wd_env.Faultreg.t ->
   mode:watchdog_mode ->
@@ -37,8 +36,6 @@ val boot :
   booted
 (** Boot "kvs", "zkmini", "dfsmini" or "cstore". [special] selects boot
     variants: "leak_bug", "in_memory", "burst" (kvs only). The target and
-    its checkers run on the process-wide {!Wd_ir.Interp.default_engine};
-    [schedule] selects the checker scheduling policy (default
-    {!Wd_watchdog.Schedule.fixed}). *)
+    its checkers run on the process-wide {!Wd_ir.Interp.default_engine}. *)
 
 val all_systems : string list

@@ -163,17 +163,11 @@ let runq_pop s =
   s.rq_len <- s.rq_len - 1;
   f
 
-(* Load-pressure probes for adaptive checker scheduling. Both are pure
-   reads of scheduler state at the instant of the call, so a sampling task
-   sees a deterministic value: the runq contents and timer heap at any
-   point of a run are a function of the seed alone. *)
+(* Load-pressure probes, sampled by the host-cost benchmark's traced runs.
+   Both are pure reads of scheduler state at the instant of the call, so a
+   sampling task sees a deterministic value: the runq contents and timer
+   heap at any point of a run are a function of the seed alone. *)
 let runq_depth s = s.rq_len
-
-let timer_slack s =
-  if Heap.is_empty s.timers then Int64.max_int
-  else
-    let t = Int64.of_int (Heap.min_time s.timers) in
-    if t <= s.now then 0L else Int64.sub t s.now
 
 let timer_count s = Heap.size s.timers
 

@@ -100,17 +100,13 @@ val stats : t -> int * int * int
 
 (** {2 Load-pressure probes}
 
-    Deterministic reads of scheduler state, for adaptive checker
-    scheduling: the runq contents and timer heap at any point of a run are
-    a function of the seed alone, so sampling them from a task cannot
-    break cross-run or cross-width reproducibility. *)
+    Deterministic reads of scheduler state, sampled by the host-cost
+    benchmark's traced runs: the runq contents and timer heap at any point
+    of a run are a function of the seed alone, so sampling them from a
+    task cannot break cross-run or cross-width reproducibility. *)
 
 val runq_depth : t -> int
 (** Tasks queued runnable right now (excluding the running one). *)
-
-val timer_slack : t -> int64
-(** Virtual time until the earliest pending timer fires; [0] when one is
-    already due, [Int64.max_int] when none are pending. *)
 
 val timer_count : t -> int
 (** Pending timer-heap entries. This includes deadlines whose waiter

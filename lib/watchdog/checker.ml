@@ -24,13 +24,6 @@ type t = {
       (* duration the driver should assess for slowness after a Pass;
          [None] means use the whole run's wall time. Mimic checkers report
          operation time excluding benign lock-contention waits. *)
-  ctx_version : (unit -> int) option;
-      (* monotone version of the state this checker's verdict depends on
-         (the watchdog context's update counter for mimic checkers). An
-         adaptive scheduler may skip a run whose version is unchanged since
-         the last execution, within its latency bound. [None] = never
-         dedupable: signal/probe checkers, and progress checkers whose very
-         point is noticing that the version is NOT advancing. *)
 }
 
 let kind_name = function Probe -> "probe" | Signal -> "signal" | Mimic -> "mimic"
@@ -38,9 +31,8 @@ let kind_name = function Probe -> "probe" | Signal -> "signal" | Mimic -> "mimic
 let make ?(kind = Mimic) ?(period = Wd_sim.Time.sec 1)
     ?(timeout = Wd_sim.Time.sec 10) ?slow_budget
     ?(locate = fun () -> (None, "", []))
-    ?(slow_elapsed = fun () -> None) ?ctx_version ~id run =
-  { id; kind; period; timeout; slow_budget; run; locate; slow_elapsed;
-    ctx_version }
+    ?(slow_elapsed = fun () -> None) ~id run =
+  { id; kind; period; timeout; slow_budget; run; locate; slow_elapsed }
 
 let pp ppf c =
   Fmt.pf ppf "%s[%s] period=%a timeout=%a" c.id (kind_name c.kind)

@@ -24,13 +24,6 @@ type t = {
   slow_elapsed : unit -> int64 option;
       (** duration to assess for slowness after a Pass; [None] = wall time.
           Mimic checkers report operation time minus benign lock waits. *)
-  ctx_version : (unit -> int) option;
-      (** monotone version of the state the verdict depends on (the
-          watchdog context's update counter for mimic checkers). An
-          adaptive scheduler may skip a run whose version is unchanged
-          since the last execution, within its latency bound. [None] =
-          never dedupable — signal/probe checkers, and progress checkers
-          whose point is noticing the version is {e not} advancing. *)
 }
 
 val kind_name : kind -> string
@@ -43,7 +36,6 @@ val make :
   ?locate:
     (unit -> Wd_ir.Loc.t option * string * (string * Wd_ir.Ast.value) list) ->
   ?slow_elapsed:(unit -> int64 option) ->
-  ?ctx_version:(unit -> int) ->
   id:string ->
   (now:int64 -> outcome) ->
   t

@@ -3,14 +3,7 @@
    hang, slowness), debounces and validates them, and surfaces reports to
    registered actions.
 
-   Scheduling is a typed policy chosen at [create] (see [Schedule]):
-
-   - [Schedule.fixed] (default): one daemon loop per checker sleeping its
-     declared period — bit-for-bit the historical schedule.
-   - [Schedule.adaptive _]: one central daemon loop owns every checker,
-     batching co-scheduled runs behind a single context-version sampling
-     pass, deduplicating runs whose context version is unchanged, and
-     throttling cadence under load pressure within a hard latency bound.
+   Each checker runs in its own daemon loop, sleeping its declared period.
 
    A hung or crashed checker never takes the driver down: execution goes
    through a per-entry [Sched.runner] — a persistent worker fiber with the
@@ -25,20 +18,17 @@ type entry = {
   mutable failures : int;
   mutable skips : int;
   mutable timeouts : int;
-  mutable dedups : int; (* adaptive-schedule dedup skips; never ran *)
   mutable consecutive : int;
   mutable last_key : string;
   mutable last_report_at : int64;
   mutable lat_baseline : float; (* EWMA of fault-free run duration, ns *)
   mutable lat_samples : int;
-  mutable task : Wd_sim.Sched.task option; (* fixed mode: per-checker loop *)
-  mutable slot : Schedule.slot option; (* adaptive mode: scheduling state *)
+  mutable task : Wd_sim.Sched.task option; (* the checker's daemon loop *)
 }
 
 type t = {
   sched : Wd_sim.Sched.t;
   policy : Policy.t;
-  schedule : Schedule.t;
   (* dedup keys, memoised per (checker, failure kind, loc uid): a report
      storm from one site re-delivers the same key without re-formatting *)
   keys : (string * string * int, string) Hashtbl.t;
@@ -48,14 +38,12 @@ type t = {
   mutable actions : (Report.t -> unit) list;
   mutable started : bool;
   mutable stopped : bool;
-  mutable central : Wd_sim.Sched.task option; (* adaptive scheduling loop *)
 }
 
-let create ?(policy = Policy.default) ?(schedule = Schedule.fixed) sched =
+let create ?(policy = Policy.default) sched =
   {
     sched;
     policy;
-    schedule = Schedule.create schedule sched;
     keys = Hashtbl.create 64;
     entries = [];
     reports = [];
@@ -63,10 +51,9 @@ let create ?(policy = Policy.default) ?(schedule = Schedule.fixed) sched =
     actions = [];
     started = false;
     stopped = false;
-    central = None;
   }
 
-let schedule t = t.schedule
+let schedule _ = Schedule.create ()
 
 let on_report t action = t.actions <- action :: t.actions
 
@@ -181,73 +168,17 @@ let run_once t entry =
       (* stop() raced with this execution; not a finding *)
       ()
 
-(* The adaptive central loop: wake every quantum, close the pressure window
-   if due, then dispatch the due checkers as one batch — a single context-
-   version sampling pass, dedup decisions, runs charged to the window. *)
-let central_loop t () =
-  while not t.stopped do
-    Wd_sim.Sched.sleep (Schedule.quantum t.schedule);
-    if not t.stopped then begin
-      Schedule.tick t.schedule;
-      let due =
-        List.filter
-          (fun e ->
-            match e.slot with
-            | Some sl -> Schedule.due t.schedule sl
-            | None -> false)
-          (List.rev t.entries)
-      in
-      Schedule.begin_batch t.schedule
-        (List.filter_map (fun e -> e.slot) due);
-      List.iter
-        (fun e ->
-          match e.slot with
-          | Some sl when not t.stopped -> (
-              match Schedule.decide t.schedule sl with
-              | `Skip_dedup -> e.dedups <- e.dedups + 1
-              | `Run ->
-                  let started = Wd_sim.Sched.now t.sched in
-                  let _, _, ev0 = Wd_sim.Sched.stats t.sched in
-                  run_once t e;
-                  let _, _, ev1 = Wd_sim.Sched.stats t.sched in
-                  Schedule.note_run t.schedule sl ~started
-                    ~events_cost:(ev1 - ev0))
-          | Some _ | None -> ())
-        due
-    end
-  done
-
-let ensure_central t =
-  match t.central with
-  | Some _ -> ()
-  | None ->
-      t.central <-
-        Some
-          (Wd_sim.Sched.spawn ~name:"wd:schedule" ~daemon:true t.sched
-             (central_loop t))
-
-(* Put a live entry on the schedule: its own daemon loop under a fixed
-   policy, a slot of the central loop under an adaptive one. *)
 let schedule_entry t entry =
   let checker = entry.checker in
-  match Schedule.policy t.schedule with
-  | Schedule.Fixed _ ->
-      let period = Schedule.scaled_period t.schedule checker.Checker.period in
-      let task =
-        Wd_sim.Sched.spawn ~name:("wd:" ^ checker.Checker.id) ~daemon:true
-          t.sched (fun () ->
-            while not t.stopped do
-              Wd_sim.Sched.sleep period;
-              if not t.stopped then run_once t entry
-            done)
-      in
-      entry.task <- Some task
-  | Schedule.Adaptive _ ->
-      entry.slot <-
-        Some
-          (Schedule.register t.schedule ~period:checker.Checker.period
-             ?version:checker.Checker.ctx_version ());
-      ensure_central t
+  let task =
+    Wd_sim.Sched.spawn ~name:("wd:" ^ checker.Checker.id) ~daemon:true t.sched
+      (fun () ->
+        while not t.stopped do
+          Wd_sim.Sched.sleep checker.Checker.period;
+          if not t.stopped then run_once t entry
+        done)
+  in
+  entry.task <- Some task
 
 let add_checker t checker =
   let entry =
@@ -258,14 +189,12 @@ let add_checker t checker =
       failures = 0;
       skips = 0;
       timeouts = 0;
-      dedups = 0;
       consecutive = 0;
       last_key = "";
       last_report_at = -1_000_000_000_000_000L; (* overflow-safe "never" *)
       lat_baseline = 0.0;
       lat_samples = 0;
       task = None;
-      slot = None;
     }
   in
   t.entries <- entry :: t.entries;
@@ -291,10 +220,7 @@ let stop t =
       match e.task with
       | Some task -> Wd_sim.Sched.kill t.sched task
       | None -> ())
-    t.entries;
-  match t.central with
-  | Some task -> Wd_sim.Sched.kill t.sched task
-  | None -> ()
+    t.entries
 
 let reports t = List.rev t.reports
 let suppressed t = List.rev t.suppressed
@@ -312,7 +238,6 @@ type checker_stats = {
   cs_failures : int;
   cs_skips : int;
   cs_timeouts : int;
-  cs_dedups : int;
 }
 
 let stats t =
@@ -325,7 +250,6 @@ let stats t =
         cs_failures = e.failures;
         cs_skips = e.skips;
         cs_timeouts = e.timeouts;
-        cs_dedups = e.dedups;
       })
     t.entries
 

@@ -168,12 +168,4 @@ let staleness t ~now unit_id =
 let updates t unit_id =
   match find_unit t unit_id with Some ctx -> ctx.updates | None -> 0
 
-(* The unit's monotone context version: bumped once per hook delivery, so
-   an unchanged version means every slot holds exactly the bytes a previous
-   reader saw (writes only happen in [sink]). This is the dedup key the
-   adaptive scheduler pairs with a checker id, and — because [slot_read]
-   caches copies against slot versions — co-scheduled checkers reading the
-   same unit at one version share one COW snapshot rather than re-copying. *)
-let version = updates
-
 let total_updates t = t.total_updates

@@ -39,10 +39,3 @@ val staleness : t -> now:int64 -> string -> int64 option
 
 val updates : t -> string -> int
 val total_updates : t -> int
-
-val version : t -> string -> int
-(** The unit's monotone context version (bumped once per hook delivery).
-    An unchanged version means every slot holds exactly what a previous
-    reader saw, so it is the dedup key an adaptive scheduler pairs with a
-    checker id; the per-slot COW cache then makes co-scheduled readers of
-    one version share one snapshot instead of re-copying. *)

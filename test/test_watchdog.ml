@@ -368,6 +368,35 @@ let test_driver_add_checker_while_running () =
       ignore (Sched.run ~until:(Time.sec 5) s);
       check "late checker runs" true (!runs >= 3))
 
+(* The host-cost benchmark's scheduling contract: a load probe installed
+   on the driver's [Schedule] is never called, its counters stay 0, and
+   installing it leaves the simulation's schedule untouched. *)
+let test_driver_schedule_contract () =
+  let run ~probe =
+    with_driver (fun s driver ->
+        List.iter
+          (fun (id, period) ->
+            Driver.add_checker driver
+              (const_checker ~period ~id (fun () -> Checker.Pass)))
+          [ ("fast", Time.ms 700); ("slow", Time.sec 1) ];
+        if probe then
+          Schedule.set_load_probe (Driver.schedule driver) (fun () ->
+              Alcotest.fail "load probe called");
+        Driver.start driver;
+        ignore (Sched.run ~until:(Time.sec 10) s);
+        let st = Schedule.stats (Driver.schedule driver) in
+        check_int "dedup skips" 0 st.Schedule.st_dedup_skips;
+        check_int "shared syncs" 0 st.Schedule.st_shared_syncs;
+        List.iter
+          (fun c ->
+            check (c.Driver.cs_id ^ " ran") true (c.Driver.cs_executions > 0))
+          (Driver.stats driver);
+        Sched.stats s)
+  in
+  let with_probe = run ~probe:true in
+  check "same schedule with and without a probe" true
+    (with_probe = run ~probe:false)
+
 (* --- wire codec --- *)
 
 (* structural round-trip, plus byte stability: encoding the decode of an
@@ -628,6 +657,8 @@ let () =
             test_policy_validation_suppression;
           Alcotest.test_case "add checker while running" `Quick
             test_driver_add_checker_while_running;
+          Alcotest.test_case "benchmark scheduling contract" `Quick
+            test_driver_schedule_contract;
           Alcotest.test_case "slow_elapsed override" `Quick
             test_driver_slow_elapsed_override;
           Alcotest.test_case "first_report_where" `Quick

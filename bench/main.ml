@@ -358,76 +358,22 @@ let run_json_bench ~jobs_n () =
   (* overhead vs detection latency (E23) under the fixed checker schedule,
      across the fault catalog and the load plane *)
   let frontier, frontier_s = wall (fun () -> Experiments.e23_run ()) in
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let rate (hits, misses) =
-    float_of_int hits /. Float.max 1. (float_of_int (hits + misses))
+  (* the snapshot: one JSON value; [f d] keeps a field at [d] decimals *)
+  let module J = Wd_harness.Json in
+  let int k v = (k, J.Int v) and str k v = (k, J.String v) in
+  let bool k v = (k, J.Bool v) and f d k v = (k, J.Float (d, v)) in
+  let obj k fields = (k, J.Obj fields) in
+  let rows k row xs = (k, J.List (List.map (fun x -> J.Obj (row x)) xs)) in
+  let cache k (hits, misses) =
+    obj k
+      [
+        int "hits" hits;
+        int "misses" misses;
+        f 3 "hit_rate"
+          (float_of_int hits /. Float.max 1. (float_of_int (hits + misses)));
+      ]
   in
-  bpf "{\n";
-  bpf "  \"schema\": \"wd-bench-harness/v8\",\n";
   let gc = Gc.get () in
-  bpf
-    "  \"host\": { \"recommended_domains\": %d, \"gc\": { \
-     \"minor_heap_words\": %d, \"space_overhead\": %d } },\n"
-    recommended gc.Gc.minor_heap_size gc.Gc.space_overhead;
-  bpf "  \"campaign_e2\": {\n";
-  bpf "    \"scenarios\": %d,\n" (List.length cells);
-  bpf "    \"jobs_curve\": [\n";
-  List.iteri
-    (fun i (j, _, secs, _, _) ->
-      bpf
-        "      { \"jobs\": %d, \"effective_jobs\": %d, \"wall_s\": %.3f, \
-         \"speedup\": %.2f }%s\n"
-        j (effective j) secs
-        (secs1 /. Float.max 1e-9 secs)
-        (if i = List.length curve - 1 then "" else ","))
-    curve;
-  bpf "    ],\n";
-  bpf "    \"deterministic\": %b,\n" deterministic;
-  bpf
-    "    \"analysis_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": \
-     %.3f },\n"
-    (fst a_cache_n) (snd a_cache_n) (rate a_cache_n);
-  bpf
-    "    \"compile_cache\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": \
-     %.3f },\n"
-    (fst c_cache_n) (snd c_cache_n) (rate c_cache_n);
-  bpf "    \"treewalk_jobsN_wall_s\": %.3f,\n" secs_tw;
-  bpf "    \"engine_speedup\": %.2f,\n" (secs_tw /. Float.max 1e-9 secs_n);
-  bpf "    \"engines_identical\": %b\n" engines_identical;
-  bpf "  },\n";
-  bpf "  \"sweep\": {\n";
-  bpf "    \"worlds\": %d,\n" sweep_worlds;
-  bpf "    \"seed\": %d,\n" sweep_seed;
-  bpf "    \"jobs_curve\": [\n";
-  List.iteri
-    (fun i (j, _, _, secs) ->
-      bpf
-        "      { \"jobs\": %d, \"effective_jobs\": %d, \"wall_s\": %.3f, \
-         \"worlds_per_s\": %.1f, \"speedup\": %.2f }%s\n"
-        j (effective j) secs
-        (float_of_int sweep_worlds /. Float.max 1e-9 secs)
-        (sweep_secs1 /. Float.max 1e-9 secs)
-        (if i = List.length sweep_runs - 1 then "" else ","))
-    sweep_runs;
-  bpf "    ],\n";
-  bpf "    \"byte_identical\": %b,\n" sweep_identical;
-  bpf "    \"digest\": \"%s\",\n" sweep_summary.Wd_harness.Sweep.s_digest;
-  bpf
-    "    \"composition\": { \"scenario\": %d, \"fault_free\": %d, \"fleet\": \
-     %d },\n"
-    sweep_summary.Wd_harness.Sweep.s_scenario_worlds
-    sweep_summary.Wd_harness.Sweep.s_fault_free_worlds
-    sweep_summary.Wd_harness.Sweep.s_fleet_worlds;
-  bpf
-    "    \"oracle\": { \"ok\": %d, \"expect_detect\": %d, \"detected\": %d, \
-     \"unexpected_detect\": %d, \"false_alarms\": %d }\n"
-    sweep_summary.Wd_harness.Sweep.s_ok
-    sweep_summary.Wd_harness.Sweep.s_expect_detect
-    sweep_summary.Wd_harness.Sweep.s_detected
-    sweep_summary.Wd_harness.Sweep.s_unexpected_detect
-    sweep_summary.Wd_harness.Sweep.s_false_alarms;
-  bpf "  },\n";
   (* fleet plane: one limplock cell, one leader-failover cell, and the two
      correlated cells on the asymmetric 9-node heterogeneous fabric; the
      latencies are sim-time (deterministic), the wall clocks are host *)
@@ -444,7 +390,7 @@ let run_json_bench ~jobs_n () =
           csid)
   in
   let limp, limp_s = fleet_cell "fleet-limplock" in
-  let fail, fail_s = fleet_cell "fleet-leader-limplock" in
+  let failover, failover_s = fleet_cell "fleet-leader-limplock" in
   let alp, alp_s = hetero_cell "fleet-limplock-partition" in
   let asl, asl_s = hetero_cell "fleet-slow-link-gray" in
   let ms = function Some v -> Int64.to_float v /. 1e6 | None -> -1. in
@@ -454,293 +400,338 @@ let run_json_bench ~jobs_n () =
         Some (Int64.sub at r.Csim.cr_inject_at)
     | Some _ | None -> None
   in
-  let fleet_row label (r : Csim.result) wall_s comma =
-    bpf
-      "    \"%s\": { \"wall_s\": %.3f, \"detect_ms\": %.1f, \
-       \"mttr_ms\": %.1f, \"ok\": %b }%s\n"
-      label wall_s
-      (ms r.Csim.cr_first_latency)
-      (ms r.Csim.cr_first_recovery_latency)
-      r.Csim.cr_as_expected comma
+  let fleet_times (r : Csim.result) wall_s =
+    [
+      f 3 "wall_s" wall_s;
+      f 1 "detect_ms" (ms r.Csim.cr_first_latency);
+      f 1 "mttr_ms" (ms r.Csim.cr_first_recovery_latency);
+    ]
   in
-  bpf "  \"fleet\": {\n";
-  fleet_row "limplock" limp limp_s ",";
-  bpf
-    "    \"leader_failover\": { \"wall_s\": %.3f, \"detect_ms\": %.1f, \
-     \"mttr_ms\": %.1f, \"election_converge_ms\": %.1f, \"elections\": %d },\n"
-    fail_s
-    (ms fail.Csim.cr_first_latency)
-    (ms fail.Csim.cr_first_recovery_latency)
-    (ms (converge fail)) fail.Csim.cr_elections;
-  (* asymmetric-fabric detection latency and MTTR: the tentpole numbers a
-     perf or fabric PR must not regress *)
-  fleet_row "asym9_limplock_partition" alp alp_s ",";
-  fleet_row "asym9_slow_link_gray" asl asl_s "";
-  bpf "  },\n";
-  (* E21 rows: per-deployment, per-family coverage / median latency /
-     false positives, plus the deterministic sim-event overhead *)
-  bpf "  \"race\": {\n";
-  bpf "    \"mined_runs\": %d,\n" race.Experiments.e21_mined_runs;
-  bpf "    \"mined_events\": %d,\n" race.Experiments.e21_mined_events;
-  bpf "    \"model_digest\": \"%s\",\n" race.Experiments.e21_model_digest;
-  bpf "    \"mining_deterministic\": %b,\n" mining_deterministic;
-  bpf "    \"invariants\": { %s },\n"
-    (String.concat ", "
-       (List.map
-          (fun (sys, n) -> Printf.sprintf "\"%s\": %d" sys n)
-          race.Experiments.e21_invariants));
-  bpf "    \"deploys\": [\n";
-  List.iteri
-    (fun i (d : Experiments.e21_deploy) ->
-      bpf
-        "      { \"label\": \"%s\", \"any_detected\": %d, \"total\": %d, \
-         \"false_positives\": %d, \"checkers\": %d, \"sim_events\": %d, \
-         \"overhead_pct\": %.1f,\n"
-        d.Experiments.e21d_label d.Experiments.e21d_any
-        d.Experiments.e21d_total d.Experiments.e21d_fp
-        d.Experiments.e21d_checkers d.Experiments.e21d_sim_events
-        d.Experiments.e21d_overhead_pct;
-      bpf "        \"families\": { ";
-      List.iteri
-        (fun j (f : Experiments.e21_family) ->
-          let median_ms =
-            if f.Experiments.e21f_latency.Wd_harness.Metrics.ls_count = 0 then
-              -1.
-            else
-              Int64.to_float f.Experiments.e21f_latency.Wd_harness.Metrics.ls_median
-              /. 1e6
-          in
-          bpf
-            "\"%s\": { \"detected\": %d, \"total\": %d, \"median_ms\": %.1f, \
-             \"fp\": %d }%s"
-            f.Experiments.e21f_family f.Experiments.e21f_detected
-            f.Experiments.e21f_total median_ms f.Experiments.e21f_fp
-            (if j = List.length d.Experiments.e21d_families - 1 then ""
-             else ", "))
-        d.Experiments.e21d_families;
-      bpf " } }%s\n"
-        (if i = List.length race.Experiments.e21_deploys - 1 then "" else ",")
-      )
-    race.Experiments.e21_deploys;
-  bpf "    ]\n";
-  bpf "  },\n";
-  (* E22 rows: heavy-traffic load per workload and deployment; requests,
-     accuracy, virtual-time throughput/percentiles (host-independent), the
-     watchdog's sim-event overhead and latency inflation vs the wd-off row,
-     and detection latency of a mid-load fault *)
-  bpf "  \"load\": {\n";
-  bpf "    \"requests_per_row\": %d,\n" load_requests;
-  bpf "    \"total_requests\": %d,\n" load.Experiments.e22_total_requests;
-  bpf "    \"wall_s\": %.1f,\n" load_s;
-  bpf "    \"workloads\": [\n";
-  List.iteri
-    (fun i (w : Experiments.e22_workload) ->
-      bpf "      { \"label\": \"%s\", \"gen\": \"%s\", \"requests\": %d,\n"
-        w.Experiments.e22w_label w.Experiments.e22w_gen
-        w.Experiments.e22w_requests;
-      bpf "        \"rows\": [\n";
-      List.iteri
-        (fun j (row : Experiments.e22_row) ->
-          let l = row.Experiments.e22r_load in
-          bpf
-            "          { \"deploy\": \"%s\", \"requests\": %d, \"ok_ratio\": \
-             %.4f, \"shed\": %d, \"throughput_rps\": %.0f, \"p50_us\": %.1f, \
-             \"p99_us\": %.1f, \"sim_events\": %d, \"overhead_pct\": %.2f, \
-             \"p50_x\": %.3f, \"p99_x\": %.3f, \"detect_ms\": %.1f }%s\n"
-            row.Experiments.e22r_deploy l.Loadgen.lr_requests
-            (Loadgen.success_ratio l) l.Loadgen.lr_shed
-            (Loadgen.throughput_rps l)
-            (Int64.to_float l.Loadgen.lr_p50 /. 1e3)
-            (Int64.to_float l.Loadgen.lr_p99 /. 1e3)
-            row.Experiments.e22r_sim_events row.Experiments.e22r_overhead_pct
-            row.Experiments.e22r_p50_x row.Experiments.e22r_p99_x
-            (ms row.Experiments.e22r_detect)
-            (if j = List.length w.Experiments.e22w_rows - 1 then "" else ","))
-        w.Experiments.e22w_rows;
-      bpf "        ] }%s\n"
-        (if i = List.length load.Experiments.e22_workloads - 1 then ""
-         else ","))
-    load.Experiments.e22_workloads;
-  bpf "    ]\n";
-  bpf "  },\n";
-  (* v6: minor-allocation per simulated request, the number the
-     allocation-discipline refactor is accountable for *)
-  bpf "  \"alloc\": {\n";
-  bpf "    \"workload\": \"zkmini\",\n";
-  bpf "    \"wall_s\": %.1f,\n" alloc_s;
-  bpf "    \"budget_bytes_per_req\": %d,\n" alloc_budget;
-  bpf "    \"rows\": [\n";
-  List.iteri
-    (fun i (r : Experiments.e22_alloc_row) ->
-      bpf
-        "      { \"deploy\": \"%s\", \"requests\": %d, \
-         \"minor_words_per_req\": %.1f, \"bytes_per_req\": %.0f }%s\n"
-        r.Experiments.e22a_deploy r.Experiments.e22a_requests
-        r.Experiments.e22a_words_per_req r.Experiments.e22a_bytes_per_req
-        (if i = List.length alloc_rows - 1 then "" else ","))
-    alloc_rows;
-  bpf "    ]\n";
-  bpf "  },\n";
-  (* v8: E23's one row, the fixed checker schedule's overhead and
-     detection latency *)
-  bpf "  \"frontier\": {\n";
-  bpf "    \"requests_per_run\": %d,\n" frontier.Experiments.e23_requests;
-  bpf "    \"scenarios\": %d,\n" frontier.Experiments.e23_scenarios;
-  bpf "    \"wall_s\": %.1f,\n" frontier_s;
-  bpf "    \"rows\": [\n";
-  List.iteri
-    (fun i (r : Experiments.e23_row) ->
-      bpf
-        "      { \"mode\": \"%s\", \"overhead_pct\": %.3f, \
-         \"sched_events\": %d, \"p99_x\": %.3f, \"load_detect_ms\": %.1f, \
-         \"detected\": %d, \"catalog\": %d, \"worst_detect_ms\": %.1f, \
-         \"mean_detect_ms\": %.1f, \"runs\": %d }%s\n"
-        r.Experiments.e23f_mode r.Experiments.e23f_overhead_pct
-        r.Experiments.e23f_sched_events r.Experiments.e23f_p99_x
-        (ms r.Experiments.e23f_load_detect)
-        r.Experiments.e23f_detected r.Experiments.e23f_catalog
-        (ms r.Experiments.e23f_worst_detect)
-        (ms r.Experiments.e23f_mean_detect)
-        r.Experiments.e23f_runs
-        (if i = List.length frontier.Experiments.e23_rows - 1 then ""
-         else ","))
-    frontier.Experiments.e23_rows;
-  bpf "    ]\n";
-  bpf "  },\n";
-  bpf "  \"analysis_cache\": { \"cold_ms\": %.3f, \"hit_ms\": %.4f },\n"
-    (1e3 *. cold_s) (1e3 *. hit_s);
-  bpf "  \"interp\": {\n";
-  let engine_rows label stmts stmt_s calls cstmts call_s comma =
-    bpf "    \"%s\": {\n" label;
-    bpf
-      "      \"stmt_loop\": { \"stmts\": %d, \"wall_s\": %.3f, \
-       \"stmts_per_s\": %.0f },\n"
-      stmts stmt_s (per_s stmts stmt_s);
-    bpf
-      "      \"call_loop\": { \"calls\": %d, \"wall_s\": %.3f, \
-       \"calls_per_s\": %.0f, \"stmts\": %d, \"stmts_per_s\": %.0f },\n"
-      calls call_s (per_s calls call_s) cstmts (per_s cstmts call_s);
+  let fleet_row k (r : Csim.result) wall_s =
+    obj k (fleet_times r wall_s @ [ bool "ok" r.Csim.cr_as_expected ])
+  in
+  let engine_rows k stmts stmt_s calls cstmts call_s =
     let agg_stmts = stmts + cstmts and agg_s = stmt_s +. call_s in
-    bpf
-      "      \"aggregate\": { \"stmts\": %d, \"wall_s\": %.3f, \
-       \"stmts_per_s\": %.0f, \"pct_of_1e8_target\": %.1f }\n"
-      agg_stmts agg_s (per_s agg_stmts agg_s)
-      (100. *. per_s agg_stmts agg_s /. 1e8);
-    bpf "    }%s\n" comma
+    obj k
+      [
+        obj "stmt_loop"
+          [
+            int "stmts" stmts;
+            f 3 "wall_s" stmt_s;
+            f 0 "stmts_per_s" (per_s stmts stmt_s);
+          ];
+        obj "call_loop"
+          [
+            int "calls" calls;
+            f 3 "wall_s" call_s;
+            f 0 "calls_per_s" (per_s calls call_s);
+            int "stmts" cstmts;
+            f 0 "stmts_per_s" (per_s cstmts call_s);
+          ];
+        obj "aggregate"
+          [
+            int "stmts" agg_stmts;
+            f 3 "wall_s" agg_s;
+            f 0 "stmts_per_s" (per_s agg_stmts agg_s);
+            f 1 "pct_of_1e8_target" (100. *. per_s agg_stmts agg_s /. 1e8);
+          ];
+      ]
   in
-  engine_rows "compiled" c_stmts c_stmt_s c_calls c_cstmts c_call_s ",";
-  engine_rows "treewalk" t_stmts t_stmt_s t_calls t_cstmts t_call_s ",";
-  bpf "    \"engine_speedup\": { \"stmt_loop\": %.2f, \"call_loop\": %.2f }\n"
-    stmt_speedup call_speedup;
-  bpf "  }\n";
-  bpf "}\n";
-  let json = Buffer.contents buf in
+  let sw = sweep_summary in
+  let median_ms (l : Wd_harness.Metrics.latency_stats) =
+    if l.Wd_harness.Metrics.ls_count = 0 then -1.
+    else Int64.to_float l.Wd_harness.Metrics.ls_median /. 1e6
+  in
+  let json =
+    J.Obj
+      [
+        str "schema" "wd-bench-harness/v8";
+        obj "host"
+          [
+            int "recommended_domains" recommended;
+            obj "gc"
+              [
+                int "minor_heap_words" gc.Gc.minor_heap_size;
+                int "space_overhead" gc.Gc.space_overhead;
+              ];
+          ];
+        obj "campaign_e2"
+          [
+            int "scenarios" (List.length cells);
+            rows "jobs_curve"
+              (fun (j, _, secs, _, _) ->
+                [
+                  int "jobs" j;
+                  int "effective_jobs" (effective j);
+                  f 3 "wall_s" secs;
+                  f 2 "speedup" (secs1 /. Float.max 1e-9 secs);
+                ])
+              curve;
+            bool "deterministic" deterministic;
+            cache "analysis_cache" a_cache_n;
+            cache "compile_cache" c_cache_n;
+            f 3 "treewalk_jobsN_wall_s" secs_tw;
+            f 2 "engine_speedup" (secs_tw /. Float.max 1e-9 secs_n);
+            bool "engines_identical" engines_identical;
+          ];
+        obj "sweep"
+          [
+            int "worlds" sweep_worlds;
+            int "seed" sweep_seed;
+            rows "jobs_curve"
+              (fun (j, _, _, secs) ->
+                [
+                  int "jobs" j;
+                  int "effective_jobs" (effective j);
+                  f 3 "wall_s" secs;
+                  f 1 "worlds_per_s"
+                    (float_of_int sweep_worlds /. Float.max 1e-9 secs);
+                  f 2 "speedup" (sweep_secs1 /. Float.max 1e-9 secs);
+                ])
+              sweep_runs;
+            bool "byte_identical" sweep_identical;
+            str "digest" sw.Sweep.s_digest;
+            obj "composition"
+              [
+                int "scenario" sw.Sweep.s_scenario_worlds;
+                int "fault_free" sw.Sweep.s_fault_free_worlds;
+                int "fleet" sw.Sweep.s_fleet_worlds;
+              ];
+            obj "oracle"
+              [
+                int "ok" sw.Sweep.s_ok;
+                int "expect_detect" sw.Sweep.s_expect_detect;
+                int "detected" sw.Sweep.s_detected;
+                int "unexpected_detect" sw.Sweep.s_unexpected_detect;
+                int "false_alarms" sw.Sweep.s_false_alarms;
+              ];
+          ];
+        (* asymmetric-fabric detection latency and MTTR: numbers a
+           performance or fabric change must not regress *)
+        obj "fleet"
+          [
+            fleet_row "limplock" limp limp_s;
+            obj "leader_failover"
+              (fleet_times failover failover_s
+              @ [
+                  f 1 "election_converge_ms" (ms (converge failover));
+                  int "elections" failover.Csim.cr_elections;
+                ]);
+            fleet_row "asym9_limplock_partition" alp alp_s;
+            fleet_row "asym9_slow_link_gray" asl asl_s;
+          ];
+        (* E21 rows: per-deployment, per-family coverage / median latency /
+           false positives, plus the deterministic sim-event overhead *)
+        obj "race"
+          [
+            int "mined_runs" race.Experiments.e21_mined_runs;
+            int "mined_events" race.Experiments.e21_mined_events;
+            str "model_digest" race.Experiments.e21_model_digest;
+            bool "mining_deterministic" mining_deterministic;
+            obj "invariants"
+              (List.map
+                 (fun (sys, n) -> int sys n)
+                 race.Experiments.e21_invariants);
+            rows "deploys"
+              (fun (d : Experiments.e21_deploy) ->
+                [
+                  str "label" d.Experiments.e21d_label;
+                  int "any_detected" d.Experiments.e21d_any;
+                  int "total" d.Experiments.e21d_total;
+                  int "false_positives" d.Experiments.e21d_fp;
+                  int "checkers" d.Experiments.e21d_checkers;
+                  int "sim_events" d.Experiments.e21d_sim_events;
+                  f 1 "overhead_pct" d.Experiments.e21d_overhead_pct;
+                  obj "families"
+                    (List.map
+                       (fun (fam : Experiments.e21_family) ->
+                         obj fam.Experiments.e21f_family
+                           [
+                             int "detected" fam.Experiments.e21f_detected;
+                             int "total" fam.Experiments.e21f_total;
+                             f 1 "median_ms"
+                               (median_ms fam.Experiments.e21f_latency);
+                             int "fp" fam.Experiments.e21f_fp;
+                           ])
+                       d.Experiments.e21d_families);
+                ])
+              race.Experiments.e21_deploys;
+          ];
+        (* E22 rows: heavy-traffic load per workload and deployment;
+           requests, accuracy, virtual-time throughput/percentiles
+           (host-independent), the watchdog's sim-event overhead and latency
+           inflation vs the wd-off row, and detection latency of a mid-load
+           fault *)
+        obj "load"
+          [
+            int "requests_per_row" load_requests;
+            int "total_requests" load.Experiments.e22_total_requests;
+            f 1 "wall_s" load_s;
+            rows "workloads"
+              (fun (w : Experiments.e22_workload) ->
+                [
+                  str "label" w.Experiments.e22w_label;
+                  str "gen" w.Experiments.e22w_gen;
+                  int "requests" w.Experiments.e22w_requests;
+                  rows "rows"
+                    (fun (row : Experiments.e22_row) ->
+                      let l = row.Experiments.e22r_load in
+                      let us t = Int64.to_float t /. 1e3 in
+                      [
+                        str "deploy" row.Experiments.e22r_deploy;
+                        int "requests" l.Loadgen.lr_requests;
+                        f 4 "ok_ratio" (Loadgen.success_ratio l);
+                        int "shed" l.Loadgen.lr_shed;
+                        f 0 "throughput_rps" (Loadgen.throughput_rps l);
+                        f 1 "p50_us" (us l.Loadgen.lr_p50);
+                        f 1 "p99_us" (us l.Loadgen.lr_p99);
+                        int "sim_events" row.Experiments.e22r_sim_events;
+                        f 2 "overhead_pct" row.Experiments.e22r_overhead_pct;
+                        f 3 "p50_x" row.Experiments.e22r_p50_x;
+                        f 3 "p99_x" row.Experiments.e22r_p99_x;
+                        f 1 "detect_ms" (ms row.Experiments.e22r_detect);
+                      ])
+                    w.Experiments.e22w_rows;
+                ])
+              load.Experiments.e22_workloads;
+          ];
+        (* v6: minor-allocation per simulated request, the number the
+           allocation-discipline refactor is accountable for *)
+        obj "alloc"
+          [
+            str "workload" "zkmini";
+            f 1 "wall_s" alloc_s;
+            int "budget_bytes_per_req" alloc_budget;
+            rows "rows"
+              (fun (r : Experiments.e22_alloc_row) ->
+                [
+                  str "deploy" r.Experiments.e22a_deploy;
+                  int "requests" r.Experiments.e22a_requests;
+                  f 1 "minor_words_per_req" r.Experiments.e22a_words_per_req;
+                  f 0 "bytes_per_req" r.Experiments.e22a_bytes_per_req;
+                ])
+              alloc_rows;
+          ];
+        (* v8: E23's one row, the fixed checker schedule's overhead and
+           detection latency *)
+        obj "frontier"
+          [
+            int "requests_per_run" frontier.Experiments.e23_requests;
+            int "scenarios" frontier.Experiments.e23_scenarios;
+            f 1 "wall_s" frontier_s;
+            rows "rows"
+              (fun (r : Experiments.e23_row) ->
+                [
+                  str "mode" r.Experiments.e23f_mode;
+                  f 3 "overhead_pct" r.Experiments.e23f_overhead_pct;
+                  int "sched_events" r.Experiments.e23f_sched_events;
+                  f 3 "p99_x" r.Experiments.e23f_p99_x;
+                  f 1 "load_detect_ms" (ms r.Experiments.e23f_load_detect);
+                  int "detected" r.Experiments.e23f_detected;
+                  int "catalog" r.Experiments.e23f_catalog;
+                  f 1 "worst_detect_ms" (ms r.Experiments.e23f_worst_detect);
+                  f 1 "mean_detect_ms" (ms r.Experiments.e23f_mean_detect);
+                  int "runs" r.Experiments.e23f_runs;
+                ])
+              frontier.Experiments.e23_rows;
+          ];
+        obj "analysis_cache"
+          [ f 3 "cold_ms" (1e3 *. cold_s); f 4 "hit_ms" (1e3 *. hit_s) ];
+        obj "interp"
+          [
+            engine_rows "compiled" c_stmts c_stmt_s c_calls c_cstmts c_call_s;
+            engine_rows "treewalk" t_stmts t_stmt_s t_calls t_cstmts t_call_s;
+            obj "engine_speedup"
+              [ f 2 "stmt_loop" stmt_speedup; f 2 "call_loop" call_speedup ];
+          ];
+      ]
+  in
+  let json = J.to_string json ^ "\n" in
   let oc = open_out "BENCH_harness.json" in
   output_string oc json;
   close_out oc;
   print_string json;
   Printf.printf "-> wrote BENCH_harness.json\n%!";
-  if not deterministic then begin
-    prerr_endline "ERROR: campaign results differ across jobs widths";
+  (* The exit gates. Each prints its reason and exits 1 on a miss, after
+     the snapshot is written. *)
+  let fail msg =
+    prerr_endline ("ERROR: " ^ msg);
     exit 1
-  end;
-  if not engines_identical then begin
-    prerr_endline "ERROR: compiled and treewalk campaign results differ";
-    exit 1
-  end;
-  if not sweep_identical then begin
-    prerr_endline "ERROR: sweep outcomes differ across jobs widths";
-    exit 1
-  end;
-  if not mining_deterministic then begin
-    prerr_endline "ERROR: inferred-model digest differs across jobs widths";
-    exit 1
-  end;
-  if inferred_alone.Experiments.e21f_fp > 0 then begin
-    prerr_endline "ERROR: inferred checkers false-alarmed on fault-free runs";
-    exit 1
-  end;
+  in
+  let find what p xs =
+    match List.find_opt p xs with Some x -> x | None -> fail (what ^ " missing")
+  in
+  if not deterministic then
+    fail "campaign results differ across jobs widths";
+  if not engines_identical then
+    fail "compiled and treewalk campaign results differ";
+  if not sweep_identical then fail "sweep outcomes differ across jobs widths";
+  if not mining_deterministic then
+    fail "inferred-model digest differs across jobs widths";
+  if inferred_alone.Experiments.e21f_fp > 0 then
+    fail "inferred checkers false-alarmed on fault-free runs";
   if
     2 * inferred_alone.Experiments.e21f_detected
     < inferred_alone.Experiments.e21f_total
-  then begin
-    prerr_endline "ERROR: inferred-only coverage fell below half the catalog";
-    exit 1
-  end;
+  then fail "inferred-only coverage fell below half the catalog";
   (* jobs-scaling gate: any campaign point that actually got >= 2 domains
      must show real speedup over the width-1 run; on a single-core host
      every point is effective width 1 and the gate is vacuous *)
   List.iter
     (fun (j, _, secs, _, _) ->
-      if effective j >= 2 && secs1 /. Float.max 1e-9 secs < 1.2 then begin
-        Printf.eprintf
-          "ERROR: campaign jobs curve at effective width %d speedup %.2f < \
-           1.2\n"
-          (effective j)
-          (secs1 /. Float.max 1e-9 secs);
-        exit 1
-      end)
+      if effective j >= 2 && secs1 /. Float.max 1e-9 secs < 1.2 then
+        fail
+          (Printf.sprintf "campaign jobs curve at effective width %d speedup \
+                           %.2f < 1.2"
+             (effective j)
+             (secs1 /. Float.max 1e-9 secs)))
     curve;
   (* load-plane gates: the gated rows of the v5 schema. Single-node
      workloads must field all three deployments at >= 10^6 completed
      requests with a clean oracle (every request answered, nothing shed)
      and a measured detection latency under load; the fleet row must be
      present and clean. *)
-  let load_fail msg =
-    prerr_endline ("ERROR: load gate: " ^ msg);
-    exit 1
-  in
   let check_row ~wl ~need_detect (row : Experiments.e22_row) =
     let l = row.Experiments.e22r_load in
+    let at = wl ^ "/" ^ row.Experiments.e22r_deploy in
     if Loadgen.success_ratio l < 0.99 then
-      load_fail
-        (Printf.sprintf "%s/%s ok ratio %.4f < 0.99" wl
-           row.Experiments.e22r_deploy (Loadgen.success_ratio l));
+      fail
+        (Printf.sprintf "load gate: %s ok ratio %.4f < 0.99" at
+           (Loadgen.success_ratio l));
     if l.Loadgen.lr_shed > 0 then
-      load_fail
-        (Printf.sprintf "%s/%s shed %d requests" wl row.Experiments.e22r_deploy
-           l.Loadgen.lr_shed);
+      fail (Printf.sprintf "load gate: %s shed %d requests" at l.Loadgen.lr_shed);
     if need_detect && row.Experiments.e22r_detect = None then
-      load_fail
-        (Printf.sprintf "%s/%s did not detect the mid-load fault" wl
-           row.Experiments.e22r_deploy)
+      fail ("load gate: " ^ at ^ " did not detect the mid-load fault")
   in
   List.iter
     (fun wl ->
-      match
-        List.find_opt
+      let w =
+        find
+          ("load gate: " ^ wl ^ " workload row")
           (fun (w : Experiments.e22_workload) -> w.Experiments.e22w_label = wl)
           load.Experiments.e22_workloads
-      with
-      | None -> load_fail (wl ^ " workload row missing")
-      | Some w ->
-          if w.Experiments.e22w_requests < 1_000_000 then
-            load_fail
-              (Printf.sprintf "%s completed %d requests < 1e6" wl
-                 w.Experiments.e22w_requests);
-          List.iter
-            (fun deploy ->
-              match
-                List.find_opt
-                  (fun (r : Experiments.e22_row) ->
-                    r.Experiments.e22r_deploy = deploy)
-                  w.Experiments.e22w_rows
-              with
-              | None -> load_fail (wl ^ "/" ^ deploy ^ " row missing")
-              | Some row ->
-                  check_row ~wl ~need_detect:(deploy <> "wd-off") row)
-            [ "wd-off"; "wd-on"; "inferred-on" ])
+      in
+      if w.Experiments.e22w_requests < 1_000_000 then
+        fail
+          (Printf.sprintf "load gate: %s completed %d requests < 1e6" wl
+             w.Experiments.e22w_requests);
+      List.iter
+        (fun deploy ->
+          find
+            ("load gate: " ^ wl ^ "/" ^ deploy ^ " row")
+            (fun (r : Experiments.e22_row) -> r.Experiments.e22r_deploy = deploy)
+            w.Experiments.e22w_rows
+          |> check_row ~wl ~need_detect:(deploy <> "wd-off"))
+        [ "wd-off"; "wd-on"; "inferred-on" ])
     [ "zkmini"; "cstore" ];
-  (match
-     List.find_opt
-       (fun (w : Experiments.e22_workload) ->
-         w.Experiments.e22w_gen = "fleet")
-       load.Experiments.e22_workloads
-   with
-  | None -> load_fail "fleet workload row missing"
-  | Some w ->
-      List.iter (check_row ~wl:w.Experiments.e22w_label ~need_detect:false)
-        w.Experiments.e22w_rows);
+  let fleet =
+    find "load gate: fleet workload row"
+      (fun (w : Experiments.e22_workload) -> w.Experiments.e22w_gen = "fleet")
+      load.Experiments.e22_workloads
+  in
+  List.iter
+    (check_row ~wl:fleet.Experiments.e22w_label ~need_detect:false)
+    fleet.Experiments.e22w_rows;
   (* latency-identity gate: the watchdog runs off the request path, so in
      virtual time its presence must not move client percentiles at all —
      wd-on p50/p99 bit-identical to the wd-off baseline *)
@@ -754,9 +745,10 @@ let run_json_bench ~jobs_n () =
               && (row.Experiments.e22r_p50_x <> 1.
                  || row.Experiments.e22r_p99_x <> 1.)
             then
-              load_fail
+              fail
                 (Printf.sprintf
-                   "%s/wd-on p50/p99 not bit-identical to wd-off (x%.6f/x%.6f)"
+                   "load gate: %s/wd-on p50/p99 not bit-identical to wd-off \
+                    (x%.6f/x%.6f)"
                    w.Experiments.e22w_label row.Experiments.e22r_p50_x
                    row.Experiments.e22r_p99_x))
           w.Experiments.e22w_rows)
@@ -764,56 +756,46 @@ let run_json_bench ~jobs_n () =
   (* allocation gates (v6): the refactor's budget — wd-off and wd-on minor
      allocation per simulated request stays within 30 KB (the seed spent
      ~55 KB), and no row is an empty run *)
-  let alloc_fail msg =
-    prerr_endline ("ERROR: alloc gate: " ^ msg);
-    exit 1
-  in
   List.iter
     (fun (r : Experiments.e22_alloc_row) ->
       if r.Experiments.e22a_requests <= 0 then
-        alloc_fail (r.Experiments.e22a_deploy ^ " row completed no requests"))
+        fail
+          ("alloc gate: " ^ r.Experiments.e22a_deploy
+         ^ " row completed no requests"))
     alloc_rows;
   List.iter
     (fun deploy ->
-      match
-        List.find_opt
+      let r =
+        find
+          ("alloc gate: " ^ deploy ^ " row")
           (fun (r : Experiments.e22_alloc_row) ->
             r.Experiments.e22a_deploy = deploy)
           alloc_rows
-      with
-      | None -> alloc_fail (deploy ^ " row missing")
-      | Some r ->
-          if r.Experiments.e22a_bytes_per_req > float_of_int alloc_budget then
-            alloc_fail
-              (Printf.sprintf "%s %.0f bytes/request exceeds the %d budget"
-                 deploy r.Experiments.e22a_bytes_per_req alloc_budget))
+      in
+      if r.Experiments.e22a_bytes_per_req > float_of_int alloc_budget then
+        fail
+          (Printf.sprintf "alloc gate: %s %.0f bytes/request exceeds the %d \
+                           budget"
+             deploy r.Experiments.e22a_bytes_per_req alloc_budget))
     [ "wd-off"; "wd-on" ];
   (* frontier gates (v8): the fixed row is present, its checkers ran on
      the load plane, it covers at least [frontier_min_detected] catalog
      scenarios, and it has a worst-case detection latency *)
-  let frontier_fail msg =
-    prerr_endline ("ERROR: frontier gate: " ^ msg);
-    exit 1
-  in
   let fx =
-    match
-      List.find_opt
-        (fun (r : Experiments.e23_row) -> r.Experiments.e23f_mode = "fixed")
-        frontier.Experiments.e23_rows
-    with
-    | Some r -> r
-    | None -> frontier_fail "fixed row missing"
+    find "frontier gate: fixed row"
+      (fun (r : Experiments.e23_row) -> r.Experiments.e23f_mode = "fixed")
+      frontier.Experiments.e23_rows
   in
   if fx.Experiments.e23f_runs <= 0 then
-    frontier_fail "fixed row: no checker ran on the load plane";
+    fail "frontier gate: fixed row: no checker ran on the load plane";
   if fx.Experiments.e23f_detected < frontier_min_detected then
-    frontier_fail
-      (Printf.sprintf "fixed catalog coverage %d/%d below %d"
+    fail
+      (Printf.sprintf "frontier gate: fixed catalog coverage %d/%d below %d"
          fx.Experiments.e23f_detected fx.Experiments.e23f_catalog
          frontier_min_detected);
   match fx.Experiments.e23f_worst_detect with
   | Some f when f > 0L -> ()
-  | _ -> frontier_fail "worst-case detection latency missing"
+  | _ -> fail "frontier gate: worst-case detection latency missing"
 
 let () =
   Wd_harness.Cli.check_env ();
@@ -838,8 +820,9 @@ let () =
     run_microbenches ();
     (* Part 2: every table and figure of the paper. *)
     List.iter
-      (fun (name, f) ->
-        Printf.printf "\n================ %s ================\n\n%!" name;
-        print_string (f ()))
-      (Wd_harness.Experiments.all_texts ())
+      (fun (e : Wd_harness.Experiments.t) ->
+        Printf.printf "\n================ %s ================\n\n%!"
+          e.Wd_harness.Experiments.ex_name;
+        print_string (e.Wd_harness.Experiments.ex_render ()))
+      Wd_harness.Experiments.all
   end

@@ -15,24 +15,49 @@ let seed_arg = Wd_harness.Cli.seed_arg
 let apply_jobs = Wd_harness.Cli.apply_jobs
 let apply_seed = Wd_harness.Cli.apply_seed
 
-let run_experiment name jobs seed =
-  apply_jobs jobs;
-  apply_seed seed;
-  match List.assoc_opt name (Wd_harness.Experiments.all_texts ()) with
-  | Some f ->
-      print_string (f ());
-      0
-  | None ->
-      Fmt.epr "unknown experiment %s@." name;
-      1
+module Experiments = Wd_harness.Experiments
+
+(* Every experiment subcommand comes from one registry entry: its name,
+   doc, optional budget flag (checked against the entry's minimum) and
+   renderer. *)
+let experiment_cmd (e : Experiments.t) =
+  let budget_arg =
+    match e.Experiments.ex_budget with
+    | None -> Term.const None
+    | Some b ->
+        Term.(
+          const Option.some
+          $ Arg.(
+              value
+              & opt int b.Experiments.b_default
+              & info [ b.Experiments.b_flag ] ~docv:"N"
+                  ~doc:
+                    (Printf.sprintf "%s (default $(docv)=%d)."
+                       b.Experiments.b_doc b.Experiments.b_default)))
+  in
+  let run budget jobs seed =
+    apply_jobs jobs;
+    apply_seed seed;
+    match (e.Experiments.ex_budget, budget) with
+    | Some b, Some n when n < b.Experiments.b_min ->
+        Fmt.epr "%s@." b.Experiments.b_error;
+        1
+    | _ ->
+        print_string (e.Experiments.ex_render ?budget ());
+        0
+  in
+  Cmd.v
+    (Cmd.info e.Experiments.ex_name ~doc:e.Experiments.ex_doc)
+    Term.(const run $ budget_arg $ jobs_arg $ seed_arg)
 
 let list_cmd =
   let doc = "List experiments and failure scenarios." in
   let run () =
     print_endline "experiments:";
     List.iter
-      (fun (name, _) -> Printf.printf "  repro %s\n" name)
-      (Wd_harness.Experiments.all_texts ());
+      (fun (e : Experiments.t) ->
+        Printf.printf "  repro %s\n" e.Experiments.ex_name)
+      Experiments.all;
     print_endline "\nfailure scenarios (repro scenario <sid>):";
     List.iter
       (fun s -> Fmt.pr "  %a@." Wd_faults.Catalog.pp_scenario s)
@@ -41,103 +66,18 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
-let experiment_cmds =
-  List.filter_map
-    (fun (ename, _) ->
-      if ename = "faultspace" || ename = "load" || ename = "frontier" then
-        None (* dedicated commands below: --worlds / --requests *)
-      else
-        let doc = Printf.sprintf "Run experiment %s." ename in
-        let term =
-          Term.(const run_experiment $ const ename $ jobs_arg $ seed_arg)
-        in
-        Some (Cmd.v (Cmd.info ename ~doc) term))
-    (Wd_harness.Experiments.all_texts ())
-
-let faultspace_cmd =
-  let doc =
-    "Run experiment faultspace (E20): a randomized fault-space sweep of \
-     generated worlds graded against per-world oracles."
-  in
-  let worlds_arg =
-    Arg.(
-      value
-      & opt int Wd_harness.Experiments.e20_default_worlds
-      & info [ "worlds" ] ~docv:"N"
-          ~doc:"Number of worlds in the sweep grid (default $(docv)=1000).")
-  in
-  let run worlds jobs seed =
-    apply_jobs jobs;
-    apply_seed seed;
-    if worlds < 0 then begin
-      Fmt.epr "--worlds must be non-negative@.";
-      1
-    end
-    else begin
-      print_string (Wd_harness.Experiments.e20_text ~worlds ());
-      0
-    end
-  in
-  Cmd.v
-    (Cmd.info "faultspace" ~doc)
-    Term.(const run $ worlds_arg $ jobs_arg $ seed_arg)
-
-(* [load] and [frontier] share one --requests flag and its check;
-   [render requests] builds the table. *)
-let requests_cmd name ~doc ~requests_doc render =
-  let requests_arg =
-    Arg.(
-      value
-      & opt int Wd_harness.Experiments.e22_default_requests
-      & info [ "requests" ] ~docv:"N" ~doc:requests_doc)
-  in
-  let run requests jobs seed =
-    apply_jobs jobs;
-    apply_seed seed;
-    if requests <= 0 then begin
-      Fmt.epr "--requests must be positive@.";
-      1
-    end
-    else begin
-      print_string (render requests);
-      0
-    end
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ requests_arg $ jobs_arg $ seed_arg)
-
-let load_cmd =
-  requests_cmd "load"
-    ~doc:
-      "Run experiment load (E22): open/closed-loop heavy-traffic load \
-       against single nodes and a fleet, watchdog-on vs -off vs \
-       inferred-on, with detection latency under load."
-    ~requests_doc:
-      "Request budget per deployment row of each workload (default \
-       $(docv)=60000)."
-    (fun requests -> Wd_harness.Experiments.e22_text ~requests ())
-
-let frontier_cmd =
-  requests_cmd "frontier"
-    ~doc:
-      "Run experiment frontier (E23): watchdog overhead on the E22 load \
-       plane, split against a hooks-only run, next to detection latency \
-       across the full fault catalog, under the fixed checker schedule."
-    ~requests_doc:
-      "Request budget per load-plane run (default $(docv)=60000)."
-    (fun requests -> Wd_harness.Experiments.e23_text ~requests ())
-
 let all_cmd =
   let doc = "Run every experiment." in
   let run jobs seed =
     apply_jobs jobs;
     apply_seed seed;
-    List.fold_left
-      (fun acc (name, _) ->
-        Printf.printf "\n================ repro %s ================\n\n" name;
-        max acc (run_experiment name None None))
-      0
-      (Wd_harness.Experiments.all_texts ())
+    List.iter
+      (fun (e : Experiments.t) ->
+        Printf.printf "\n================ repro %s ================\n\n"
+          e.Experiments.ex_name;
+        print_string (e.Experiments.ex_render ()))
+      Experiments.all;
+    0
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ jobs_arg $ seed_arg)
 
@@ -261,4 +201,4 @@ let () =
     (Cmd.eval'
        (Cmd.group ~default info
           (list_cmd :: all_cmd :: scenario_cmd :: checkers_cmd
-           :: faultspace_cmd :: load_cmd :: frontier_cmd :: experiment_cmds)))
+           :: List.map experiment_cmd Experiments.all)))

@@ -5,4 +5,6 @@
 
      dune exec examples/generate_watchdog.exe *)
 
-let () = print_string (Wd_harness.Experiments.e4_text ())
+let () =
+  let module E = Wd_harness.Experiments in
+  print_string ((E.find "reduce").E.ex_render ())

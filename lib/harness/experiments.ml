@@ -1801,35 +1801,37 @@ let e22_boot ~sched ~mode ~infer system =
   | _ -> ());
   (booted, reg)
 
+(* The E22 generator on a booted single node: a 32-client closed loop, or
+   an open loop at [rate] req/s capped at 512 in flight. *)
+let e22_spawn ~label ~sched ~requests ~gen (booted : Systems.booted) =
+  match gen with
+  | `Closed ->
+      Loadgen.spawn_closed ~label ~sched ~clients:32 ~think:(Wd_sim.Time.us 50)
+        ~requests ~op:booted.Systems.b_client ()
+  | `Open rate ->
+      Loadgen.spawn_open ~label ~sched ~rate_rps:rate ~max_inflight:512
+        ~requests ~op:booted.Systems.b_client ()
+
 (* One clean load run: boot, offer [requests], account every arrival;
-   returns the load result, the sim events fired and the checker
-   executions. [hooks_only] stops the driver right after boot: the
-   instrumented program keeps feeding contexts but no checker ever runs —
-   the baseline that splits watchdog overhead into context-sync vs
-   checker-scheduling. *)
+   returns the load result (whose [lr_events] counts the sim events up to
+   the last arrival) and the checker executions over the whole driven
+   run. [hooks_only] stops the driver right after boot: the instrumented
+   program keeps feeding contexts but no checker ever runs — the baseline
+   that splits watchdog overhead into context-sync vs checker-scheduling. *)
 let e22_perf ?(hooks_only = false) ~requests ~gen ~mode ~infer system =
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
   let booted, _reg = e22_boot ~sched ~mode ~infer system in
   if hooks_only then Driver.stop booted.Systems.b_driver;
-  let g =
-    match gen with
-    | `Closed ->
-        Loadgen.spawn_closed ~label:system ~sched ~clients:32
-          ~think:(Wd_sim.Time.us 50) ~requests
-          ~op:booted.Systems.b_client ()
-    | `Open rate ->
-        Loadgen.spawn_open ~label:system ~sched ~rate_rps:rate
-          ~max_inflight:512 ~requests ~op:booted.Systems.b_client ()
+  let r =
+    Loadgen.drive (e22_spawn ~label:system ~sched ~requests ~gen booted)
   in
-  let r = Loadgen.drive g in
-  let _, _, events = Wd_sim.Sched.stats sched in
   let runs =
     List.fold_left
       (fun n c -> n + c.Driver.cs_executions)
       0
       (Driver.stats booted.Systems.b_driver)
   in
-  (r, events, runs)
+  (r, runs)
 
 (* Detection latency under load: same boot, same generator, but a catalog
    fault lands after a 2s ramp while clients keep hammering; latency is the
@@ -1839,14 +1841,7 @@ let e22_detect ~requests ~gen ~mode ~infer ~sid system =
   let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
   let booted, reg = e22_boot ~sched ~mode ~infer system in
   let g =
-    match gen with
-    | `Closed ->
-        Loadgen.spawn_closed ~label:(system ^ "+fault") ~sched ~clients:32
-          ~think:(Wd_sim.Time.us 50) ~requests
-          ~op:booted.Systems.b_client ()
-    | `Open rate ->
-        Loadgen.spawn_open ~label:(system ^ "+fault") ~sched ~rate_rps:rate
-          ~max_inflight:512 ~requests ~op:booted.Systems.b_client ()
+    e22_spawn ~label:(system ^ "+fault") ~sched ~requests ~gen booted
   in
   let step u =
     match Wd_sim.Sched.run ~until:u sched with
@@ -1902,9 +1897,8 @@ let e22_single ~requests ~mined (label, gen) =
           ~infer:(infer_of with_infer) ~sid:(e22_sid_of label) label)
       (List.filter (fun (d, _, _) -> d <> "wd-off") e22_deploy_specs)
   in
-  let base_load, base_events, _ =
-    List.nth perfs 0 (* spec order: wd-off first *)
-  in
+  let base_load, _ = List.nth perfs 0 (* spec order: wd-off first *) in
+  let base_events = base_load.Loadgen.lr_events in
   let detect_of d =
     match d with
     | "wd-on" -> fst (List.nth detects 0)
@@ -1916,7 +1910,8 @@ let e22_single ~requests ~mined (label, gen) =
   in
   let rows =
     List.map2
-      (fun (d, _, _) (load, events, _) ->
+      (fun (d, _, _) (load, _) ->
+        let events = load.Loadgen.lr_events in
         {
           e22r_deploy = d;
           e22r_load = load;
@@ -1929,14 +1924,13 @@ let e22_single ~requests ~mined (label, gen) =
           e22r_p99_x = ratio load.Loadgen.lr_p99 base_load.Loadgen.lr_p99;
           e22r_detect = detect_of d;
         })
-      (List.map (fun (d, _, _) -> (d, (), ())) e22_deploy_specs)
-      perfs
+      e22_deploy_specs perfs
   in
   {
     e22w_label = label;
     e22w_gen = (match gen with `Closed -> "closed" | `Open _ -> "open");
     e22w_requests =
-      List.fold_left (fun n (l, _, _) -> n + l.Loadgen.lr_requests) 0 perfs
+      List.fold_left (fun n (l, _) -> n + l.Loadgen.lr_requests) 0 perfs
       + List.fold_left (fun n (_, c) -> n + c) 0 detects;
     e22w_rows = rows;
   }
@@ -1961,7 +1955,6 @@ let e22_fleet ~requests =
       ~think:(Wd_sim.Time.us 200) ~requests ()
   in
   let r = Loadgen.drive g in
-  let _, _, events = Wd_sim.Sched.stats sched in
   {
     e22w_label = "fleet-zkmini-3";
     e22w_gen = "fleet";
@@ -1971,7 +1964,7 @@ let e22_fleet ~requests =
         {
           e22r_deploy = "wd-on";
           e22r_load = r;
-          e22r_sim_events = events;
+          e22r_sim_events = r.Loadgen.lr_events;
           e22r_overhead_pct = 0.;
           e22r_p50_x = 1.;
           e22r_p99_x = 1.;
@@ -1995,9 +1988,7 @@ let e22_alloc ?(requests = 20_000) () =
         let sched = Wd_sim.Sched.create ~seed:(base_seed ()) () in
         let booted, _reg = e22_boot ~sched ~mode ~infer:None "zkmini" in
         let g =
-          Loadgen.spawn_closed ~label:"zkmini" ~sched ~clients:32
-            ~think:(Wd_sim.Time.us 50) ~requests
-            ~op:booted.Systems.b_client ()
+          e22_spawn ~label:"zkmini" ~sched ~requests ~gen:`Closed booted
         in
         let w0 = Gc.minor_words () in
         let r = Loadgen.drive g in
@@ -2014,17 +2005,13 @@ let e22_alloc ?(requests = 20_000) () =
 
 let e22_default_requests = 60_000
 
-let e22_run ?(requests = e22_default_requests) ?fleet_requests () =
-  let fleet_requests =
-    match fleet_requests with Some n -> n | None -> requests
-  in
+(* the single-node workloads of the load plane, shared with E23 *)
+let e22_workloads = [ ("zkmini", `Closed); ("cstore", `Open 8_000) ]
+
+let e22_run ?(requests = e22_default_requests) () =
   let mined = e21_mine () in
-  let singles =
-    List.map
-      (e22_single ~requests ~mined)
-      [ ("zkmini", `Closed); ("cstore", `Open 8_000) ]
-  in
-  let fleet = e22_fleet ~requests:fleet_requests in
+  let singles = List.map (e22_single ~requests ~mined) e22_workloads in
+  let fleet = e22_fleet ~requests in
   let workloads = singles @ [ fleet ] in
   {
     e22_workloads = workloads;
@@ -2032,8 +2019,8 @@ let e22_run ?(requests = e22_default_requests) ?fleet_requests () =
       List.fold_left (fun n w -> n + w.e22w_requests) 0 workloads;
   }
 
-let e22_text ?requests ?fleet_requests () =
-  let r = e22_run ?requests ?fleet_requests () in
+let e22_text ?requests () =
+  let r = e22_run ?requests () in
   let tbl =
     Tables.render
       ~header:
@@ -2109,7 +2096,7 @@ type e23_row = {
   e23f_catalog : int;  (* catalog size *)
   e23f_worst_detect : int64 option;  (* over the detected scenarios *)
   e23f_mean_detect : int64 option;
-  e23f_runs : int;  (* checker executions across the load-plane runs *)
+  e23f_runs : int;  (* checker executions over the whole driven runs *)
 }
 
 type e23_result = {
@@ -2117,8 +2104,6 @@ type e23_result = {
   e23_scenarios : int;
   e23_requests : int;
 }
-
-let e23_workloads = [ ("zkmini", `Closed); ("cstore", `Open 8_000) ]
 
 (* Catalog detection latency: first intrinsic-class report after
    injection. *)
@@ -2139,7 +2124,7 @@ let e23_run ?(requests = e22_default_requests) () =
     par_map
       (fun (system, gen) ->
         e22_perf ?hooks_only ~requests ~gen ~mode ~infer:None system)
-      e23_workloads
+      e22_workloads
   in
   let bases = perf_all Systems.Wd_none in
   let hooks = perf_all ~hooks_only:true Systems.Wd_generated in
@@ -2157,19 +2142,20 @@ let e23_run ?(requests = e22_default_requests) () =
         e22_detect ~requests:(max 1 (requests / 4)) ~gen
           ~mode:Systems.Wd_generated ~infer:None ~sid:(e22_sid_of system)
           system)
-      e23_workloads
+      e22_workloads
   in
   let overheads =
     List.map2
-      (fun (_, base_events, _) (_, events, _) ->
+      (fun (base, _) (load, _) ->
+        let base_events = base.Loadgen.lr_events in
         100.
-        *. float_of_int (events - base_events)
+        *. float_of_int (load.Loadgen.lr_events - base_events)
         /. float_of_int (max 1 base_events))
       bases perfs
   in
   let p99_x =
     List.fold_left2
-      (fun acc (base_load, _, _) (load, _, _) ->
+      (fun acc (base_load, _) (load, _) ->
         Float.max acc
           (Int64.to_float load.Loadgen.lr_p99
           /. Float.max 1. (Int64.to_float base_load.Loadgen.lr_p99)))
@@ -2188,8 +2174,8 @@ let e23_run ?(requests = e22_default_requests) () =
         /. float_of_int (List.length overheads);
       e23f_sched_events =
         List.fold_left2
-          (fun acc (_, hooks_events, _) (_, events, _) ->
-            acc + (events - hooks_events))
+          (fun acc (hooks_load, _) (load, _) ->
+            acc + (load.Loadgen.lr_events - hooks_load.Loadgen.lr_events))
           0 hooks perfs;
       e23f_p99_x = p99_x;
       e23f_load_detect =
@@ -2206,7 +2192,7 @@ let e23_run ?(requests = e22_default_requests) () =
               (Int64.div
                  (List.fold_left Int64.add 0L lats)
                  (Int64.of_int (List.length lats))));
-      e23f_runs = List.fold_left (fun n (_, _, runs) -> n + runs) 0 perfs;
+      e23f_runs = List.fold_left (fun n (_, runs) -> n + runs) 0 perfs;
     }
   in
   {
@@ -2258,28 +2244,100 @@ let e23_text ?requests () =
      request path, not checker execution: the scheduling component is\n\
      the gap between the overhead and the hooks-only baseline.\n"
 
-let all_texts () =
+(* --- the experiment registry ---
+
+   The one list of experiments: [repro] builds a subcommand from each
+   entry (plus [list] and [all]), [bench] regenerates every table from it,
+   and the tests reach the tables through it. Order is presentation
+   order. *)
+
+type budget = {
+  b_flag : string;
+  b_doc : string;
+  b_default : int;
+  b_min : int;
+  b_error : string;
+}
+
+type t = {
+  ex_name : string;
+  ex_doc : string;
+  ex_budget : budget option;
+  ex_render : ?budget:int -> unit -> string;
+}
+
+let plain name doc text =
+  {
+    ex_name = name;
+    ex_doc = doc;
+    ex_budget = None;
+    ex_render = (fun ?budget:_ () -> text ());
+  }
+
+let budgeted name doc budget render =
+  { ex_name = name; ex_doc = doc; ex_budget = Some budget; ex_render = render }
+
+let requests_budget doc =
+  {
+    b_flag = "requests";
+    b_doc = doc;
+    b_default = e22_default_requests;
+    b_min = 1;
+    b_error = "--requests must be positive";
+  }
+
+let all =
   [
-    ("table1", e1_text);
-    ("table2", e2_text);
-    ("reduce", e4_text);
-    ("zk2201", e5_text);
-    ("genstats", e6_text);
-    ("overhead", e7_text);
-    ("context", e8_text);
-    ("memsignal", e9_text);
-    ("isolation", e10_text);
-    ("recovery", e11_text);
-    ("reproduce", e12_text);
-    ("overload", e13_text);
-    ("ablation", e14_text);
-    ("sweep", e15_text);
-    ("multiseed", e16_text);
-    ("cluster", e17_text);
-    ("failover", e18_text);
-    ("hetero", e19_text);
-    ("faultspace", fun () -> e20_text ());
-    ("infer", e21_text);
-    ("load", fun () -> e22_text ());
-    ("frontier", fun () -> e23_text ());
+    plain "table1" "E1, Table 1: crash FD vs error handler vs watchdog."
+      e1_text;
+    plain "table2" "E2, Table 2: probe, signal and mimic checker quality."
+      e2_text;
+    plain "reduce" "E4, Figures 2-3: the serializeSnapshot reduction." e4_text;
+    plain "zk2201" "E5: the ZOOKEEPER-2201 reproduction." e5_text;
+    plain "genstats" "E6: tens of generated checkers per target." e6_text;
+    plain "overhead" "E7: concurrent vs in-place checking." e7_text;
+    plain "context" "E8: state synchronisation vs spurious alarms." e8_text;
+    plain "memsignal" "E9: memory-pressure fate sharing." e9_text;
+    plain "isolation" "E10: watchdog isolation." e10_text;
+    plain "recovery" "E11: cheap recovery via microreboot." e11_text;
+    plain "reproduce" "E12: failure reproduction from checker context."
+      e12_text;
+    plain "overload" "E13: Table 2 accuracy under legitimate overload."
+      e13_text;
+    plain "ablation" "E14: dedup and global-reduction ablations." e14_text;
+    plain "sweep" "E15: detection-budget parameter sweep." e15_text;
+    plain "multiseed" "E16: robustness across event interleavings." e16_text;
+    plain "cluster" "E17: fleet-level aggregation over 5-node clusters."
+      e17_text;
+    plain "failover" "E18: leader failover and verdict-driven recovery."
+      e18_text;
+    plain "hetero" "E19: heterogeneous fleets over an asymmetric fabric."
+      e19_text;
+    budgeted "faultspace"
+      "E20: a randomized fault-space sweep of generated worlds graded \
+       against per-world oracles."
+      {
+        b_flag = "worlds";
+        b_doc = "Number of worlds in the sweep grid";
+        b_default = e20_default_worlds;
+        b_min = 0;
+        b_error = "--worlds must be non-negative";
+      }
+      (fun ?budget () -> e20_text ?worlds:budget ());
+    plain "infer" "E21: trace-inferred checkers raced against the mimics."
+      e21_text;
+    budgeted "load"
+      "E22: open/closed-loop heavy-traffic load against single nodes and a \
+       fleet, watchdog-on vs -off vs inferred-on, with detection latency \
+       under load."
+      (requests_budget "Request budget per deployment row of each workload")
+      (fun ?budget () -> e22_text ?requests:budget ());
+    budgeted "frontier"
+      "E23: watchdog overhead on the E22 load plane, split against a \
+       hooks-only run, next to detection latency across the full fault \
+       catalog."
+      (requests_budget "Request budget per load-plane run")
+      (fun ?budget () -> e23_text ?requests:budget ());
   ]
+
+let find name = List.find (fun e -> e.ex_name = name) all

@@ -127,6 +127,7 @@ type gen = {
   mutable g_shed : int;
   mutable g_inflight : int;
   mutable g_done_at : int64;
+  mutable g_done_events : int; (* Sched events fired at [g_done_at] *)
 }
 
 let make_gen ~sched ~label ~target =
@@ -144,7 +145,16 @@ let make_gen ~sched ~label ~target =
     g_shed = 0;
     g_inflight = 0;
     g_done_at = 0L;
+    g_done_events = 0;
   }
+
+(* The run is over: stamp its end and the scheduler's event count there,
+   so what the world does after the last arrival (daemons running to the
+   end of [drive]'s step) is not charged to the run. *)
+let finish g now =
+  let _, _, events = Sched.stats g.g_sched in
+  g.g_done_at <- now;
+  g.g_done_events <- events
 
 let record g ~t0 (r : reply) =
   let now = Sched.now g.g_sched in
@@ -154,7 +164,7 @@ let record g ~t0 (r : reply) =
   | `Err _ -> g.g_err <- g.g_err + 1
   | `Timeout -> g.g_timeout <- g.g_timeout + 1);
   g.g_completed <- g.g_completed + 1;
-  if g.g_completed + g.g_shed >= g.g_target then g.g_done_at <- now
+  if g.g_completed + g.g_shed >= g.g_target then finish g now
 
 let accounted g = g.g_completed + g.g_shed >= g.g_target
 
@@ -207,7 +217,7 @@ let spawn_open ?(label = "open") ~sched ~rate_rps ~max_inflight ~requests ~op
          for idx = 0 to requests - 1 do
            if g.g_inflight >= max_inflight then begin
              g.g_shed <- g.g_shed + 1;
-             if accounted g then g.g_done_at <- Sched.now sched
+             if accounted g then finish g (Sched.now sched)
            end
            else begin
              g.g_inflight <- g.g_inflight + 1;
@@ -233,6 +243,7 @@ type result = {
   lr_timeout : int;
   lr_shed : int;
   lr_sim_ns : int64; (* first issue -> last completion, virtual *)
+  lr_events : int; (* Sched events fired when the last arrival was accounted *)
   lr_wall_s : float;
   lr_p50 : int64;
   lr_p90 : int64;
@@ -262,7 +273,7 @@ let drive ?(step = Wd_sim.Time.ms 200) g =
     | Sched.Time_limit | Sched.Quiescent -> ()
     | Sched.Deadlock _ ->
         (* every non-daemon wedged: nothing will ever complete the budget *)
-        g.g_done_at <- Sched.now sched;
+        finish g (Sched.now sched);
         g.g_shed <- g.g_shed + (g.g_target - g.g_completed - g.g_shed));
     (* A wedged target (fault injection) can stall completions forever while
        timers keep firing; bail out after a long stretch of zero progress so
@@ -271,13 +282,13 @@ let drive ?(step = Wd_sim.Time.ms 200) g =
       incr guard;
       if !guard > 600 then begin
         g.g_shed <- g.g_shed + (g.g_target - g.g_completed - g.g_shed);
-        g.g_done_at <- Sched.now sched
+        finish g (Sched.now sched)
       end
     end
     else guard := 0
   done;
   let wall_s = Unix.gettimeofday () -. wall0 in
-  let done_at = if g.g_done_at = 0L then Sched.now sched else g.g_done_at in
+  if g.g_done_at = 0L then finish g (Sched.now sched);
   {
     lr_label = g.g_label;
     lr_requests = g.g_completed;
@@ -285,7 +296,8 @@ let drive ?(step = Wd_sim.Time.ms 200) g =
     lr_err = g.g_err;
     lr_timeout = g.g_timeout;
     lr_shed = g.g_shed;
-    lr_sim_ns = Int64.sub done_at g.g_started_at;
+    lr_sim_ns = Int64.sub g.g_done_at g.g_started_at;
+    lr_events = g.g_done_events;
     lr_wall_s = wall_s;
     lr_p50 = hist_quantile g.g_hist 0.50;
     lr_p90 = hist_quantile g.g_hist 0.90;

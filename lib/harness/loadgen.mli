@@ -68,6 +68,11 @@ type result = {
   lr_timeout : int;
   lr_shed : int;
   lr_sim_ns : int64;  (** generator start to last accounted arrival, virtual *)
+  lr_events : int;
+      (** scheduler events fired (since the world's boot) when the last
+          arrival was accounted for: what the world did after that, while
+          {!drive} finished its step, is not counted, so the figure does not
+          depend on [step] *)
   lr_wall_s : float;  (** host seconds spent driving the run *)
   lr_p50 : int64;
   lr_p90 : int64;

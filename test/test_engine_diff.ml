@@ -267,10 +267,11 @@ let test_deep_recursion_parity () =
 
 let test_e17_engine_identity () =
   let module E = Wd_harness.Experiments in
+  let e17_text () = (E.find "cluster").E.ex_render () in
   E.set_jobs 4;
-  let compiled = Engine.with_default `Compiled E.e17_text in
+  let compiled = Engine.with_default `Compiled e17_text in
   E.set_jobs 1;
-  let treewalk = Engine.with_default `Treewalk E.e17_text in
+  let treewalk = Engine.with_default `Treewalk e17_text in
   Alcotest.(check string)
     "E17 fleet summary byte-identical across engines and --jobs widths"
     compiled treewalk

@@ -253,6 +253,98 @@ let test_map_contents_pinned () =
     ]
     (pins pinned_cstore [ "cs.memtable"; "cs.sstable_index" ])
 
+(* The event count a load run reports is taken when its last request is
+   accounted for, so it does not depend on how far [Loadgen.drive]'s last
+   step overshoots; the scheduler's own count at the end of the drive
+   does. *)
+let test_load_events_step_free () =
+  let run step =
+    let sched = Wd_sim.Sched.create ~seed:42 () in
+    let reg = Wd_env.Faultreg.create () in
+    let b = Systems.boot ~sched ~reg ~mode:Systems.Wd_generated "zkmini" in
+    let r =
+      Loadgen.drive ~step
+        (Loadgen.spawn_closed ~sched ~clients:32 ~think:(Time.us 50)
+           ~requests:2_000 ~op:b.Systems.b_client ())
+    in
+    let _, _, after_drive = Wd_sim.Sched.stats sched in
+    (r, after_drive)
+  in
+  let coarse, coarse_total = run (Time.ms 200) in
+  let fine, fine_total = run (Time.ms 1) in
+  check_int "all requests completed" 2_000 coarse.Loadgen.lr_requests;
+  check_int "at-completion events, step 200ms vs 1ms" coarse.Loadgen.lr_events
+    fine.Loadgen.lr_events;
+  check "the 200ms step overshoots the last request" true
+    (coarse_total > fine_total && fine_total >= fine.Loadgen.lr_events)
+
+(* The one experiment registry: the 22 tables in presentation order, and
+   a budget flag only where an experiment's cost scales with one number. *)
+let test_experiment_registry () =
+  Alcotest.(check (list string))
+    "names in order"
+    [
+      "table1"; "table2"; "reduce"; "zk2201"; "genstats"; "overhead";
+      "context"; "memsignal"; "isolation"; "recovery"; "reproduce";
+      "overload"; "ablation"; "sweep"; "multiseed"; "cluster"; "failover";
+      "hetero"; "faultspace"; "infer"; "load"; "frontier";
+    ]
+    (List.map (fun e -> e.Experiments.ex_name) Experiments.all);
+  Alcotest.(check (list (pair string (triple string int int))))
+    "budgets: flag, default, minimum"
+    [
+      ("faultspace", ("worlds", 1000, 0));
+      ("load", ("requests", 60_000, 1));
+      ("frontier", ("requests", 60_000, 1));
+    ]
+    (List.filter_map
+       (fun e ->
+         Option.map
+           (fun b ->
+             ( e.Experiments.ex_name,
+               (b.Experiments.b_flag, b.Experiments.b_default, b.Experiments.b_min)
+             ))
+           e.Experiments.ex_budget)
+       Experiments.all)
+
+let test_json_printer () =
+  let s = Alcotest.(check string) in
+  s "escapes quote, backslash and control characters"
+    {|"a\"b\\c\u000a\u0009\u0001\u001f"|}
+    (Json.to_string (Json.String "a\"b\\c\n\t\001\031"));
+  s "fixed decimals" "[ 2, 1.000, -1.0, 0.0700 ]"
+    (Json.to_string
+       (Json.List
+          [
+            Json.Float (0, 2.4);
+            Json.Float (3, 1.);
+            Json.Float (1, -1.);
+            Json.Float (4, 0.07);
+          ]));
+  s "commas in nested arrays and objects"
+    "{\n\
+    \  \"a\": 1,\n\
+    \  \"rows\": [\n\
+    \    { \"x\": true, \"y\": \"s\" },\n\
+    \    {},\n\
+    \    [ 1, 2 ]\n\
+    \  ],\n\
+    \  \"c\": { \"d\": [] }\n\
+     }"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("a", Json.Int 1);
+            ( "rows",
+              Json.List
+                [
+                  Json.Obj [ ("x", Json.Bool true); ("y", Json.String "s") ];
+                  Json.Obj [];
+                  Json.List [ Json.Int 1; Json.Int 2 ];
+                ] );
+            ("c", Json.Obj [ ("d", Json.List []) ]);
+          ]))
+
 let test_tables_render () =
   let text =
     Tables.render ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "333"; "4" ] ]
@@ -343,6 +435,11 @@ let () =
             test_kernel_schedule_pinned;
           Alcotest.test_case "map contents pinned" `Quick
             test_map_contents_pinned;
+          Alcotest.test_case "load events independent of drive step" `Quick
+            test_load_events_step_free;
+          Alcotest.test_case "experiment registry" `Quick
+            test_experiment_registry;
+          Alcotest.test_case "json printer" `Quick test_json_printer;
         ] );
       ( "config",
         [
